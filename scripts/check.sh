@@ -8,7 +8,7 @@
 #   scripts/check.sh                # ASan/UBSan build + full ctest
 #   scripts/check.sh --chaos        # ASan/UBSan build + chaos label only
 #   scripts/check.sh --chaos-sweep [N]  # chaos label across N seed offsets
-#   scripts/check.sh --tsan         # TSan build + compute and chaos labels
+#   scripts/check.sh --tsan         # TSan build + the multithreaded labels
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -44,14 +44,15 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # commits (intent CAS races, wound-abort decision races, the shared
   # timestamp oracle) across worker threads; the coldtier label adds the
   # memory-hierarchy suite (readers racing fault-ins and clock eviction on
-  # budgeted trunks).
+  # budgeted trunks); the net label adds the fabric suite (concurrent runs
+  # charging their own meter sets, per-run handler ids).
   cmake --preset tsan
   cmake --build --preset tsan -j "$(nproc)"
   # libstdc++'s std::atomic<std::shared_ptr> spin-lock protocol is not
   # tsan-annotated; suppress the library internals (see scripts/tsan.supp).
   export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp${TSAN_OPTIONS:+ $TSAN_OPTIONS}"
   cd build-tsan
-  ctest --output-on-failure -j "$(nproc)" -L 'compute|chaos|storage|serving|analytics|txn|coldtier'
+  ctest --output-on-failure -j "$(nproc)" -L 'compute|chaos|storage|serving|analytics|txn|coldtier|net'
   exit 0
 fi
 

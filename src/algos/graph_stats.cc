@@ -10,14 +10,14 @@ Status ComputeGraphStats(graph::Graph* graph, std::uint64_t tail_cutoff,
   *out = GraphStats();
   cloud::MemoryCloud* cloud = graph->cloud();
   net::Fabric& fabric = cloud->fabric();
-  fabric.ResetMeters();
+  net::MeterSet meters(fabric.num_machines());
   // Per-machine partial histograms, folded client-side (the per-partition
   // sampling paradigm of §5.5 — no cross-machine traffic beyond the fold).
   std::vector<std::map<std::uint64_t, std::uint64_t>> partials(
       cloud->num_slaves());
   Status failure;
   for (MachineId m = 0; m < cloud->num_slaves(); ++m) {
-    net::Fabric::MeterScope meter(fabric, m);
+    net::Fabric::MeterScope meter(fabric, m, &meters);
     for (CellId v : graph->LocalNodes(m)) {
       Status s = graph->VisitLocalNode(
           m, v,
@@ -60,7 +60,7 @@ Status ComputeGraphStats(graph::Graph* graph, std::uint64_t tail_cutoff,
       out->power_law_gamma = 1.0 + static_cast<double>(tail) / log_sum;
     }
   }
-  out->modeled_millis = cost_model.PhaseSeconds(fabric) * 1000.0;
+  out->modeled_millis = cost_model.PhaseSeconds(meters) * 1000.0;
   return Status::OK();
 }
 

@@ -79,11 +79,11 @@ Status SubgraphMatcher::Match(const Pattern& pattern, Result* result) {
     }
   }
   net::Fabric& fabric = graph_->cloud()->fabric();
+  net::Fabric::RunScope run(fabric);  // Meters zeroed per round.
   std::vector<std::deque<Task>> queues(num_slaves_);
   for (MachineId m = 0; m < num_slaves_; ++m) {
     fabric.RegisterAsyncHandler(
-        m, cloud::kSubgraphMatchHandler,
-        [m, &queues](MachineId, Slice payload) {
+        m, run.handler, [m, &queues](MachineId, Slice payload) {
           Task task;
           if (DecodeTask(payload, &task)) queues[m].push_back(std::move(task));
         });
@@ -94,8 +94,7 @@ Status SubgraphMatcher::Match(const Pattern& pattern, Result* result) {
       queues[dst].push_back(task);
     } else {
       const std::string encoded = EncodeTask(task);
-      fabric.SendAsync(src, dst, cloud::kSubgraphMatchHandler,
-                       Slice(encoded));
+      fabric.SendAsync(src, dst, run.handler, Slice(encoded), &run.ctx);
     }
   };
 
@@ -120,10 +119,9 @@ Status SubgraphMatcher::Match(const Pattern& pattern, Result* result) {
   // Seed: every machine scans its local vertices for label-0 candidates.
   // (A production system scans lazily; the work cap bounds this too.)
   const std::uint32_t first_label = pattern.nodes[0].label;
-  fabric.ResetMeters();
   bool done = false;
   for (MachineId m = 0; m < num_slaves_ && !done; ++m) {
-    net::Fabric::MeterScope meter(fabric, m);
+    net::Fabric::MeterScope meter(fabric, m, &run.meters);
     for (CellId v : graph_->LocalNodes(m)) {
       if (LabelOf(v) != first_label) continue;
       Task task;
@@ -143,14 +141,14 @@ Status SubgraphMatcher::Match(const Pattern& pattern, Result* result) {
     }
   }
   result->modeled_millis +=
-      options_.cost_model.PhaseSeconds(fabric) * 1000.0;
+      options_.cost_model.PhaseSeconds(run.meters) * 1000.0;
   ++result->rounds;
 
   while (!done) {
     bool any = false;
-    fabric.ResetMeters();
+    run.meters.Reset();
     for (MachineId m = 0; m < num_slaves_ && !done; ++m) {
-      net::Fabric::MeterScope meter(fabric, m);
+      net::Fabric::MeterScope meter(fabric, m, &run.meters);
       std::uint64_t processed_this_round = 0;
       while (!queues[m].empty() &&
              processed_this_round < options_.round_budget && !done) {
@@ -224,7 +222,7 @@ Status SubgraphMatcher::Match(const Pattern& pattern, Result* result) {
       if (!queues[m].empty()) any = true;
     }
     result->modeled_millis +=
-        options_.cost_model.PhaseSeconds(fabric) * 1000.0;
+        options_.cost_model.PhaseSeconds(run.meters) * 1000.0;
     ++result->rounds;
     if (!any) break;
   }

@@ -146,9 +146,10 @@ Status SnapshotBuilder::Build(graph::Graph* graph,
 
   // Phase 2: degree gather to a coordinator + rank-table broadcast. One
   // packed payload per machine pair, in each direction — O(machines), not
-  // O(edges), and the only traffic the build ever puts on the wire.
+  // O(edges), and the only traffic the build ever puts on the wire. One run
+  // id serves both: degrees go to the coordinator, ranks to the others.
   watch.Reset();
-  const net::NetworkStats before = fabric.stats();
+  net::Fabric::RunScope run(fabric);
   MachineId coord = 0;
   for (MachineId m = 0; m < slaves; ++m) {
     if (cloud->storage(m) != nullptr) {
@@ -158,8 +159,7 @@ Status SnapshotBuilder::Build(graph::Graph* graph,
   }
   std::vector<DegreeRecord> merged;
   fabric.RegisterAsyncHandler(
-      coord, cloud::kSnapshotDegreeHandler,
-      [&merged](MachineId src, Slice payload) {
+      coord, run.handler, [&merged](MachineId src, Slice payload) {
         compute::ForEachPackedRecord(payload, [&](CellId id, Slice deg) {
           if (deg.size() != 4) return;
           std::uint32_t d = 0;
@@ -182,8 +182,8 @@ Status SnapshotBuilder::Build(graph::Graph* graph,
       compute::AppendPackedRecord(
           &buf, node.id, Slice(reinterpret_cast<const char*>(&degree), 4));
     }
-    Status s = fabric.SendPacked(m, coord, cloud::kSnapshotDegreeHandler,
-                                 Slice(buf), captured[m].size());
+    Status s = fabric.SendPacked(m, coord, run.handler, Slice(buf),
+                                 captured[m].size(), &run.ctx);
     if (!s.ok()) return s;
   }
   {
@@ -235,7 +235,7 @@ Status SnapshotBuilder::Build(graph::Graph* graph,
       continue;
     }
     fabric.RegisterAsyncHandler(
-        m, cloud::kSnapshotRankHandler, [&view](MachineId, Slice payload) {
+        m, run.handler, [&view](MachineId, Slice payload) {
           compute::ForEachPackedRecord(payload, [&](CellId id, Slice rec) {
             if (rec.size() != 8) return;
             std::uint32_t degree = 0;
@@ -247,13 +247,13 @@ Status SnapshotBuilder::Build(graph::Graph* graph,
             view.owner_by_rank.push_back(owner);
           });
         });
-    Status s = fabric.SendPacked(coord, m, cloud::kSnapshotRankHandler,
-                                 Slice(table_buf), merged.size());
+    Status s = fabric.SendPacked(coord, m, run.handler,
+                                 Slice(table_buf), merged.size(), &run.ctx);
     if (!s.ok()) return s;
   }
-  const net::NetworkStats after = fabric.stats();
-  local_stats.exchange_bytes = after.bytes - before.bytes;
-  local_stats.exchange_messages = after.messages - before.messages;
+  const net::NetworkStats exchanged = run.meters.stats();
+  local_stats.exchange_bytes = exchanged.bytes;
+  local_stats.exchange_messages = exchanged.messages;
   local_stats.exchange_ms = watch.ElapsedMillis();
 
   // Phase 3: per-machine oriented CSR materialization.
@@ -328,9 +328,9 @@ Status SnapshotBuilder::BuildGlobal(graph::Graph* graph, GraphSnapshot* out,
   // packed payload of [rank][len][ranks...] records.
   std::vector<std::vector<std::uint32_t>> lists(n);
   std::vector<bool> seen(n, false);
+  net::Fabric::RunScope run(fabric);
   fabric.RegisterAsyncHandler(
-      client, cloud::kSnapshotAdjHandler,
-      [&lists, &seen, n](MachineId, Slice payload) {
+      client, run.handler, [&lists, &seen, n](MachineId, Slice payload) {
         compute::ForEachPackedRecord(payload, [&](CellId rank, Slice body) {
           if (rank >= n || body.size() % 4 != 0) return;
           const auto r = static_cast<std::uint32_t>(rank);
@@ -353,8 +353,8 @@ Status SnapshotBuilder::BuildGlobal(graph::Graph* graph, GraphSnapshot* out,
                                list.size() * 4);
       compute::AppendPackedRecord(&buf, view.local_ranks[i], body);
     }
-    s = fabric.SendPacked(view.machine, client, cloud::kSnapshotAdjHandler,
-                          Slice(buf), view.num_local());
+    s = fabric.SendPacked(view.machine, client, run.handler, Slice(buf),
+                          view.num_local(), &run.ctx);
     if (!s.ok()) return s;
   }
 

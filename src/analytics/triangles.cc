@@ -299,10 +299,11 @@ Status TriangleCounter::Count(const std::vector<GraphSnapshot>& views,
   // Boundary-list server: answers one pull per requesting machine with the
   // oriented lists of the ranks it asked for. Request: [u32 rank]*; response:
   // packed [rank][len][ranks...] records.
+  net::Fabric::RunScope run(fabric);
   for (MachineId m = 0; m < slaves; ++m) {
     const GraphSnapshot* view = &views[m];
     fabric.RegisterSyncHandler(
-        m, cloud::kSnapshotAdjHandler,
+        m, run.handler,
         [view](MachineId, Slice request, std::string* response) {
           if (request.size() % 4 != 0) {
             return Status::InvalidArgument("malformed boundary request");
@@ -357,8 +358,8 @@ Status TriangleCounter::Count(const std::vector<GraphSnapshot>& views,
         std::string request(per_owner[dst].size() * 4, '\0');
         std::memcpy(request.data(), per_owner[dst].data(), request.size());
         std::string response;
-        Status s = fabric.Call(m, dst, cloud::kSnapshotAdjHandler,
-                               Slice(request), &response);
+        Status s = fabric.Call(m, dst, run.handler, Slice(request),
+                               &response, &run.ctx);
         if (!s.ok()) return s;
         ++machine_stats.boundary_calls;
         machine_stats.boundary_bytes += request.size() + response.size();

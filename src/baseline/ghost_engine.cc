@@ -1,6 +1,5 @@
 #include "baseline/ghost_engine.h"
 
-#include "cloud/memory_cloud.h"
 #include "common/histogram.h"
 #include "common/serializer.h"
 
@@ -59,13 +58,14 @@ Status GhostEngine::RunBfs(CellId start, BfsStats* stats) {
     }
   }
   net::CostModel cost_model(options_.cost);
+  net::Fabric::RunScope run(*fabric_);  // Meters zeroed per round.
 
   // Incoming distance updates per machine (two-sided receives).
   std::vector<std::vector<std::pair<CellId, std::uint32_t>>> incoming(
       options_.num_machines);
   for (MachineId m = 0; m < options_.num_machines; ++m) {
     fabric_->RegisterAsyncHandler(
-        m, cloud::kGhostSyncHandler, [m, &incoming](MachineId, Slice payload) {
+        m, run.handler, [m, &incoming](MachineId, Slice payload) {
           BinaryReader reader(payload);
           CellId vertex = 0;
           std::uint32_t dist = 0;
@@ -84,7 +84,7 @@ Status GhostEngine::RunBfs(CellId start, BfsStats* stats) {
       if (!f.empty()) any = true;
     }
     if (!any) break;
-    fabric_->ResetMeters();
+    run.meters.Reset();
     for (MachineId m = 0; m < options_.num_machines; ++m) {
       Machine& machine = machines_[m];
       Stopwatch watch;
@@ -111,25 +111,26 @@ Status GhostEngine::RunBfs(CellId start, BfsStats* stats) {
             BinaryWriter writer;
             writer.PutU64(u);
             writer.PutU32(d + 1);
-            fabric_->SendAsync(m, owner, cloud::kGhostSyncHandler,
-                               Slice(writer.buffer()));
+            fabric_->SendAsync(m, owner, run.handler,
+                               Slice(writer.buffer()), &run.ctx);
           }
         }
       }
       frontier[m].clear();
       // Measured frontier work, scaled by the heap-object traversal
       // penalty relative to Trinity's contiguous blob scans.
-      fabric_->AddCpuMicros(m, watch.ElapsedMicros() * options_.cpu_factor);
+      fabric_->AddCpuMicros(m, watch.ElapsedMicros() * options_.cpu_factor,
+                            &run.meters);
     }
     fabric_->FlushAll();
     for (MachineId m = 0; m < options_.num_machines; ++m) {
       frontier[m] = std::move(incoming[m]);
       incoming[m].clear();
     }
-    const net::NetworkStats net = fabric_->stats();
+    const net::NetworkStats net = run.meters.stats();
     stats->messages += net.messages;
     stats->transfers += net.transfers;
-    stats->modeled_seconds += cost_model.PhaseSeconds(*fabric_);
+    stats->modeled_seconds += cost_model.PhaseSeconds(run.meters);
     ++stats->rounds;
   }
   return Status::OK();

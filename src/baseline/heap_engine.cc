@@ -1,6 +1,5 @@
 #include "baseline/heap_engine.h"
 
-#include "cloud/memory_cloud.h"
 #include "common/histogram.h"
 #include "common/serializer.h"
 
@@ -33,10 +32,11 @@ Status HeapEngine::RunPageRank(RunStats* stats) {
   if (num_nodes_ == 0) return Status::InvalidArgument("no graph loaded");
   net::CostModel cost_model(options_.cost);
   const double n = static_cast<double>(num_nodes_);
+  net::Fabric::RunScope run(*fabric_);  // Meters zeroed per superstep.
 
   for (MachineId m = 0; m < options_.num_machines; ++m) {
     fabric_->RegisterAsyncHandler(
-        m, cloud::kBspMessageHandler, [this, m](MachineId, Slice payload) {
+        m, run.handler, [this, m](MachineId, Slice payload) {
           BinaryReader reader(payload);
           CellId target = 0;
           double value = 0;
@@ -54,7 +54,7 @@ Status HeapEngine::RunPageRank(RunStats* stats) {
   const std::string padding(options_.per_message_wire_bytes, '\0');
 
   for (int step = 0; step <= options_.iterations; ++step) {
-    fabric_->ResetMeters();
+    run.meters.Reset();
     for (MachineId m = 0; m < options_.num_machines; ++m) {
       Stopwatch watch;
       Machine& machine = machines_[m];
@@ -85,17 +85,18 @@ Status HeapEngine::RunPageRank(RunStats* stats) {
               it->second->inbox.push_back(std::make_unique<double>(share));
             }
           } else {
-            fabric_->SendAsync(m, owner, cloud::kBspMessageHandler,
-                               Slice(writer.buffer()));
+            fabric_->SendAsync(m, owner, run.handler,
+                               Slice(writer.buffer()), &run.ctx);
           }
           ++stats->messages;
         }
       }
       // GC + serialization penalty on the measured superstep time.
-      fabric_->AddCpuMicros(m, watch.ElapsedMicros() * options_.cpu_factor);
+      fabric_->AddCpuMicros(m, watch.ElapsedMicros() * options_.cpu_factor,
+                            &run.meters);
     }
     fabric_->FlushAll();
-    stats->modeled_seconds += cost_model.PhaseSeconds(*fabric_) +
+    stats->modeled_seconds += cost_model.PhaseSeconds(run.meters) +
                               options_.superstep_overhead_seconds;
     ++stats->supersteps;
   }

@@ -772,7 +772,9 @@ Status MemoryCloud::RouteOp(MachineId src, CellOp op, CellId id,
   // Exponential backoff in simulated time: the stall is charged to the
   // retrying endpoint's CPU meter so the cost model sees it, and every run
   // of a given seed waits the exact same (jittered) amount.
-  hooks.charge = [&](double micros) { fabric_->AddCpuMicros(src, micros); };
+  hooks.charge = [&](double micros) {
+    fabric_->AddCpuMicros(src, micros, net::MetersOf(ctx));
+  };
   hooks.keep_trying = [&] {
     if (!fabric_->IsMachineUp(src)) {
       // The source crashed between attempts; its ghost image must not
@@ -786,7 +788,7 @@ Status MemoryCloud::RouteOp(MachineId src, CellOp op, CellId id,
     const MachineId dst = RouteDst(src, id);
     Status s;
     if (dst == src && StorageOf(src) != nullptr) {
-      net::Fabric::MeterScope meter(*fabric_, src);
+      net::Fabric::MeterScope meter(*fabric_, src, net::MetersOf(ctx));
       s = ExecuteLocal(src, op, id, payload, response);
     } else {
       const std::string request =
@@ -921,7 +923,7 @@ Status MemoryCloud::MultiOp(MachineId src, CellOp op,
     auto store = StorageOf(src);
     if (dst == src && store != nullptr) {
       // Local group: answer straight from the trunks, one accessor per id.
-      net::Fabric::MeterScope meter(*fabric_, src);
+      net::Fabric::MeterScope meter(*fabric_, src, net::MetersOf(ctx));
       for (std::size_t i : indices) {
         storage::MemoryTrunk* trunk = store->trunk(TrunkOf(ids[i]));
         if (trunk == nullptr) {
@@ -1477,24 +1479,7 @@ std::uint64_t MemoryCloud::ReplicaMemoryBytes() const {
 net::RecoveryStats MemoryCloud::recovery_stats() const {
   // Lock-free snapshot of the relaxed counters; fields may be mutually
   // inconsistent for an instant, which is fine for observability data.
-  net::RecoveryStats out;
-  out.promotions = recovery_stats_.promotions.load(std::memory_order_relaxed);
-  out.last_promote_micros =
-      recovery_stats_.last_promote_micros.load(std::memory_order_relaxed);
-  out.last_full_replication_micros =
-      recovery_stats_.last_full_replication_micros.load(
-          std::memory_order_relaxed);
-  out.bytes_rereplicated =
-      recovery_stats_.bytes_rereplicated.load(std::memory_order_relaxed);
-  out.trunks_rereplicated =
-      recovery_stats_.trunks_rereplicated.load(std::memory_order_relaxed);
-  out.degraded_reads =
-      recovery_stats_.degraded_reads.load(std::memory_order_relaxed);
-  out.fenced_writes =
-      recovery_stats_.fenced_writes.load(std::memory_order_relaxed);
-  out.tfs_fallback_reloads =
-      recovery_stats_.tfs_fallback_reloads.load(std::memory_order_relaxed);
-  return out;
+  return recovery_stats_.Load();
 }
 
 int MemoryCloud::ReReplicate() {

@@ -23,8 +23,9 @@
 
 namespace trinity::cloud {
 
-/// Handler-id ranges on the fabric. User/compute protocols must register at
-/// kUserHandlerBase or above.
+/// Fixed handler ids on the fabric. TSL protocols register at
+/// kUserHandlerBase or above; compute engines and analytics protocols take
+/// fresh per-run ids from net::Fabric::RunScope instead.
 enum CloudHandlerIds : net::HandlerId {
   kCellOpHandler = 1,        ///< Sync KV operation dispatch.
   kMultiGetHandler = 2,      ///< Batched read dispatch (MultiGet/Contains).
@@ -40,20 +41,7 @@ enum CloudHandlerIds : net::HandlerId {
   kReplicaInstallHandler = 56,  ///< Full trunk-image install (re-replication).
   kReplicaReadHandler = 57,     ///< Degraded read served by a replica trunk.
   kIsrShrinkHandler = 58,       ///< Leader-confirmed in-sync-set shrink.
-  // Compute-engine handlers (60..99).
-  kBspMessageHandler = 60,       ///< BSP vertex messages.
-  kTraversalExpandHandler = 61,  ///< Online traversal frontier expansion.
-  kAsyncUpdateHandler = 62,      ///< Asynchronous-engine update messages.
-  kSafraTokenHandler = 63,       ///< Safra termination-detection token.
-  kGhostSyncHandler = 64,        ///< PBGL-baseline ghost-cell refresh.
-  kSubgraphMatchHandler = 65,    ///< Embedding routing for subgraph match.
-  kRdfQueryHandler = 66,         ///< SPARQL-lite distributed scans.
-  // Analytics snapshot protocol (67..69): degree-ordered CSR build + the
-  // one-shot boundary-adjacency exchange for distributed triangle counting.
-  kSnapshotDegreeHandler = 67,   ///< (id, degree) gather to the coordinator.
-  kSnapshotRankHandler = 68,     ///< Rank-table broadcast from coordinator.
-  kSnapshotAdjHandler = 69,      ///< Boundary adjacency pull (sync, once/pair).
-  kUserHandlerBase = 100,        ///< TSL protocols start here.
+  kUserHandlerBase = 100,       ///< TSL protocols start here.
 };
 
 /// Trinity's memory cloud (paper §3): a distributed in-memory key-value
@@ -348,19 +336,11 @@ class MemoryCloud {
     std::uint64_t next_log_seq = 1;
   };
 
-  /// Relaxed-atomic mirror of net::RecoveryStats: hot read paths (degraded
-  /// reads, fencing rejections) bump counters without touching mu_ and
+  /// Relaxed-atomic net::RecoveryStats: hot read paths (degraded reads,
+  /// fencing rejections) bump counters without touching mu_ and
   /// recovery_stats() snapshots without blocking writers.
-  struct AtomicRecoveryStats {
-    std::atomic<std::uint64_t> promotions{0};
-    std::atomic<std::uint64_t> last_promote_micros{0};
-    std::atomic<std::uint64_t> last_full_replication_micros{0};
-    std::atomic<std::uint64_t> bytes_rereplicated{0};
-    std::atomic<std::uint64_t> trunks_rereplicated{0};
-    std::atomic<std::uint64_t> degraded_reads{0};
-    std::atomic<std::uint64_t> fenced_writes{0};
-    std::atomic<std::uint64_t> tfs_fallback_reloads{0};
-  };
+  TRINITY_ATOMIC_COUNTERS(RecoveryCounters, net::RecoveryStats,
+                          TRINITY_RECOVERY_STATS_FIELDS);
 
   explicit MemoryCloud(const Options& options);
   Status Init();
@@ -487,7 +467,7 @@ class MemoryCloud {
   /// not been covered by a committed snapshot yet. Cleared by the next
   /// successful SnapshotAllLocked (the re-protection point).
   bool reprotect_pending_ = false;
-  mutable AtomicRecoveryStats recovery_stats_;  ///< Relaxed atomics.
+  mutable RecoveryCounters recovery_stats_;
 };
 
 }  // namespace trinity::cloud

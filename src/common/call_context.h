@@ -9,6 +9,10 @@
 
 namespace trinity {
 
+namespace net {
+class MeterSet;
+}  // namespace net
+
 class RetryBudget;
 
 /// Per-request context threaded down the serving path: frontend ->
@@ -76,6 +80,11 @@ class CallContext {
   RetryBudget* retry_budget() const { return retry_budget_; }
   void set_retry_budget(RetryBudget* budget) { retry_budget_ = budget; }
 
+  /// The meter set of the run this request belongs to (borrowed, may be
+  /// null); the fabric charges it on top of its totals.
+  net::MeterSet* meters() const { return meters_; }
+  void set_meters(net::MeterSet* meters) { meters_ = meters; }
+
   /// OK while the request may proceed; Aborted once cancelled;
   /// DeadlineExceeded once the simulated budget is spent.
   Status Check() const {
@@ -94,6 +103,7 @@ class CallContext {
   std::atomic<bool> cancelled_{false};
   const std::atomic<bool>* external_cancel_ = nullptr;
   RetryBudget* retry_budget_ = nullptr;
+  net::MeterSet* meters_ = nullptr;
 };
 
 }  // namespace trinity

@@ -5,10 +5,11 @@
 
 namespace trinity {
 
-ThreadPool::ThreadPool(int num_threads) {
-  if (num_threads < 1) num_threads = 1;
-  workers_.reserve(num_threads);
-  for (int i = 0; i < num_threads; ++i) {
+ThreadPool::ThreadPool(int num_threads)
+    : num_threads_(num_threads < 1 ? 1 : num_threads) {
+  if (num_threads_ == 1) return;
+  workers_.reserve(num_threads_);
+  for (int i = 0; i < num_threads_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -23,6 +24,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
+  if (workers_.empty()) {
+    task();
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));

@@ -21,13 +21,14 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task. Never blocks.
+  /// Enqueues a task. Never blocks, except that a one-thread pool starts no
+  /// OS thread and runs every task inline on the caller.
   void Submit(std::function<void()> task);
 
   /// Blocks until the queue is empty and all workers are idle.
   void WaitIdle();
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
+  int num_threads() const { return num_threads_; }
 
   /// Runs fn(i) for i in [0, n) across the pool and waits for completion —
   /// the call itself is the barrier. The range is split into at most
@@ -78,6 +79,7 @@ class ThreadPool {
   std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
+  int num_threads_;
   int active_ = 0;
   bool shutdown_ = false;
 };

@@ -12,7 +12,9 @@ void AsyncEngine::Context::Send(CellId target, Slice message) {
 }
 
 AsyncEngine::AsyncEngine(graph::Graph* graph, Options options)
-    : graph_(graph), options_(std::move(options)) {
+    : graph_(graph),
+      options_(std::move(options)),
+      run_(graph->cloud()->fabric()) {
   if (options_.scheduler != SchedulerMode::kFifo && !options_.combiner) {
     config_error_ = Status::InvalidArgument(
         "priority/sweep scheduling requires a combiner (delta cache)");
@@ -59,7 +61,7 @@ AsyncEngine::AsyncEngine(graph::Graph* graph, Options options)
     machines_[m].scheduler.Configure(sched);
     machines_[m].outboxes.resize(num_slaves_);
     fabric.RegisterAsyncHandler(
-        m, cloud::kAsyncUpdateHandler, [this, m](MachineId, Slice payload) {
+        m, run_.handler, [this, m](MachineId, Slice payload) {
           // One payload packs many updates. Each record makes the machine
           // black (Safra) and settles one unit of the sender's deficit —
           // before the scheduler coalesces or epsilon-drops it, so retired
@@ -71,18 +73,6 @@ AsyncEngine::AsyncEngine(graph::Graph* graph, Options options)
                                 EnqueueLocal(m, target, message);
                               });
         });
-  }
-  // Discard updates stranded in the fabric's pair buffers by a previous
-  // engine's aborted run: they drain into the handlers just registered, and
-  // replaying that stale work would skew the Safra deficit counters. The
-  // scheduler Clear() covers the raw queue AND the delta cache / priority
-  // index / sweep cursor, so no stale delta survives into this run. This
-  // runs before Seed() so seeded updates are never touched.
-  fabric.FlushAll();
-  for (MachineState& state : machines_) {
-    state.scheduler.Clear();
-    state.deficit = 0;
-    state.black = false;
   }
 }
 
@@ -136,8 +126,8 @@ void AsyncEngine::FlushOutboxes() {
       if (outbox.empty()) continue;
       // A batch dropped on a dead endpoint is counted by the fabric; the
       // next sweep's health check surfaces the crash itself.
-      fabric.SendPacked(src, dst, cloud::kAsyncUpdateHandler,
-                        Slice(outbox.bytes), outbox.count);
+      fabric.SendPacked(src, dst, run_.handler, Slice(outbox.bytes),
+                        outbox.count, &run_.ctx);
       outbox.Clear();
     }
   }
@@ -175,8 +165,7 @@ bool AsyncEngine::SafraProbe(bool require_idle_queues) {
 Status AsyncEngine::Run(const Handler& handler, RunStats* stats) {
   *stats = RunStats();
   if (!config_error_.ok()) return config_error_;
-  net::Fabric& fabric = graph_->cloud()->fabric();
-  fabric.ResetMeters();
+  run_.meters.Reset();
   const Status result = RunLoop(handler, stats);
   // Fold the per-machine scheduler counters and the fabric meters into the
   // stats on every exit path, so aborted runs stay explainable too.
@@ -187,10 +176,10 @@ Status AsyncEngine::Run(const Handler& handler, RunStats* stats) {
     stats->epsilon_dropped += s.dropped;
     stats->heap_ops += state.scheduler.heap_ops();
   }
-  const net::NetworkStats net = fabric.stats();
+  const net::NetworkStats net = run_.meters.stats();
   stats->wire_bytes = net.bytes;
   stats->wire_transfers = net.transfers;
-  stats->modeled_seconds = options_.cost_model.PhaseSeconds(fabric);
+  stats->modeled_seconds = options_.cost_model.PhaseSeconds(run_.meters);
   return result;
 }
 
@@ -241,7 +230,7 @@ Status AsyncEngine::RunLoop(const Handler& handler, RunStats* stats) {
       MachineState& state = machines_[m];
       state.sweep_status = Status::OK();
       state.sweep_updates = 0;
-      net::Fabric::MeterScope meter(fabric, m);
+      net::Fabric::MeterScope meter(fabric, m, &run_.meters);
       storage::MemoryStorage* store = graph_->cloud()->storage(m);
       CellId vertex = kInvalidCell;
       std::string delta;
@@ -273,10 +262,8 @@ Status AsyncEngine::RunLoop(const Handler& handler, RunStats* stats) {
       processed_any = processed_any || state.sweep_updates > 0;
     }
     if (!failure.ok()) return failure;
-    // Asynchronous delivery: drain the packed outboxes, then anything the
-    // fabric still buffers.
+    // Asynchronous delivery: drain the packed outboxes.
     FlushOutboxes();
-    fabric.FlushAll();
     // The safety valve fires only when the limit is spent AND work remains
     // (all in-flight messages just drained into the schedulers, so scheduler
     // emptiness is the complete picture). A run that finishes exactly at

@@ -189,6 +189,8 @@ class AsyncEngine {
   std::vector<bool> owns_trunks_;
   std::unique_ptr<ThreadPool> pool_;
   int num_slaves_;
+  /// This engine's meters (zeroed per Run) and handler id.
+  net::Fabric::RunScope run_;
 };
 
 }  // namespace trinity::compute

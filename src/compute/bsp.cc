@@ -36,7 +36,7 @@ void BspEngine::AggregateLocal(MachineId machine, Slice contribution) {
 BspEngine::BspEngine(graph::Graph* graph, Options options)
     : graph_(graph),
       options_(std::move(options)),
-      handler_id_(cloud::kBspMessageHandler) {
+      run_(graph->cloud()->fabric()) {
   cloud::MemoryCloud* cloud = graph_->cloud();
   num_slaves_ = cloud->num_slaves();
   machines_.resize(num_slaves_);
@@ -60,7 +60,7 @@ BspEngine::BspEngine(graph::Graph* graph, Options options)
     machines_[m].vertices = graph_->LocalNodes(m);
     machines_[m].outboxes.resize(num_slaves_);
     cloud->fabric().RegisterAsyncHandler(
-        m, handler_id_, [this, m](MachineId, Slice payload) {
+        m, run_.handler, [this, m](MachineId, Slice payload) {
           ReceivePacked(m, payload);
         });
   }
@@ -127,8 +127,8 @@ void BspEngine::FlushOutboxes() {
       } else {
         // Dead endpoints drop the batch inside the fabric (counted); the
         // post-superstep health check surfaces the crash.
-        fabric.SendPacked(src, dst, handler_id_, Slice(outbox.bytes),
-                          outbox.count);
+        fabric.SendPacked(src, dst, run_.handler, Slice(outbox.bytes),
+                          outbox.count, &run_.ctx);
       }
       outbox.Clear();
     }
@@ -194,7 +194,7 @@ Status BspEngine::RunSuperstep(const Program& program, int superstep,
     MachineState& state = machines_[m];
     state.step_status = Status::OK();
     state.any_active = false;
-    net::Fabric::MeterScope meter(fabric, m);
+    net::Fabric::MeterScope meter(fabric, m, &run_.meters);
     // One storage resolution per machine per superstep; vertices then read
     // trunk memory without the cloud membership mutex.
     storage::MemoryStorage* store = cloud->storage(m);
@@ -257,9 +257,8 @@ Status BspEngine::RunSuperstep(const Program& program, int superstep,
     any_active = any_active || state.any_active;
   }
   // Second half of the barrier: drain the packed outboxes through the
-  // fabric (O(machines²) sends), then anything non-engine traffic buffered.
+  // fabric (O(machines²) sends).
   FlushOutboxes();
-  fabric.FlushAll();
   // Fold the per-machine partial aggregates (in a real deployment each
   // machine ships one small value to the master here — negligible traffic).
   if (options_.aggregator) {
@@ -285,11 +284,9 @@ Status BspEngine::RunSuperstep(const Program& program, int superstep,
 
 Status BspEngine::Run(const Program& program, RunStats* stats) {
   *stats = RunStats();
-  net::Fabric& fabric = graph_->cloud()->fabric();
-  // A previous run aborted by a crash can leave messages stranded in the
-  // fabric's pair buffers or in our outboxes; the first barrier of this run
-  // would deliver them and corrupt superstep sums. Drain and discard.
-  fabric.FlushAll();
+  // A previous run aborted by a crash can leave messages stranded in our
+  // inboxes and outboxes; the first barrier of this run would deliver them
+  // and corrupt superstep sums. Discard them.
   for (MachineState& state : machines_) {
     state.arena.clear();
     state.records.clear();
@@ -306,7 +303,7 @@ Status BspEngine::Run(const Program& program, RunStats* stats) {
     if (rs.ok() && superstep > 0) stats->restored_from_checkpoint = true;
   }
   for (; superstep < options_.superstep_limit; ++superstep) {
-    fabric.ResetMeters();
+    run_.meters.Reset();
     Status healthy = CheckClusterHealthy();
     if (!healthy.ok()) return healthy;
     bool all_quiet = false;
@@ -317,10 +314,10 @@ Status BspEngine::Run(const Program& program, RunStats* stats) {
     // than computing onward with partial state.
     healthy = CheckClusterHealthy();
     if (!healthy.ok()) return healthy;
-    const double step_seconds = options_.cost_model.PhaseSeconds(fabric);
+    const double step_seconds = options_.cost_model.PhaseSeconds(run_.meters);
     stats->superstep_seconds.push_back(step_seconds);
     stats->modeled_seconds += step_seconds;
-    const net::NetworkStats net = fabric.stats();
+    const net::NetworkStats net = run_.meters.stats();
     stats->messages += net.messages + net.local_messages;
     stats->transfers += net.transfers;
     stats->bytes += net.bytes;

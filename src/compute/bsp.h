@@ -37,11 +37,10 @@ namespace trinity::compute {
 /// docs/parallel_execution.md.
 ///
 /// The engine reports both measured meter totals and the CostModel's modeled
-/// cluster seconds — the number the Fig 12(b)/(c) benchmarks plot.
-/// Each engine binds the cloud's BSP message handler at construction, so at
-/// most one BspEngine may be *running* on a given MemoryCloud at a time
-/// (constructing a new engine retargets the handler, which is fine once the
-/// previous run has finished).
+/// cluster seconds — the number the Fig 12(b)/(c) benchmarks plot. Each
+/// engine meters into its own net::MeterSet under its own fabric handler id
+/// (both released with the engine), so any number of engines — and other
+/// workloads — may run on one MemoryCloud at once.
 class BspEngine {
  public:
   struct Options {
@@ -238,7 +237,8 @@ class BspEngine {
 
   graph::Graph* graph_;
   Options options_;
-  net::HandlerId handler_id_;
+  /// This engine's meters (zeroed per superstep) and handler id.
+  net::Fabric::RunScope run_;
   std::vector<MachineState> machines_;
   std::vector<MachineId> trunk_owner_;
   /// owns_trunks_[m]: machine m hosts at least one trunk (precomputed so

@@ -95,12 +95,6 @@ double PriorityIndex::PriorityOf(CellId vertex) const {
   return heap_[pos_.at(vertex)].priority;
 }
 
-void PriorityIndex::Clear() {
-  heap_.clear();
-  pos_.clear();
-  ops_ = 0;
-}
-
 // --------------------------------------------------------- VertexScheduler
 
 void VertexScheduler::Configure(Options options) {
@@ -208,16 +202,6 @@ bool VertexScheduler::Pop(CellId* vertex, std::string* delta) {
   *delta = std::move(it->second);
   delta_.erase(it);
   return true;
-}
-
-void VertexScheduler::Clear() {
-  raw_.clear();
-  delta_.clear();
-  fifo_order_.clear();
-  heap_.Clear();
-  sweep_.clear();
-  sweep_cursor_ = 0;
-  stats_ = Stats();
 }
 
 }  // namespace trinity::compute

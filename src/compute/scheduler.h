@@ -63,11 +63,9 @@ class PriorityIndex {
   /// Priority of a contained vertex. Precondition: Contains(vertex).
   double PriorityOf(CellId vertex) const;
 
-  /// Element moves performed by sift-up/sift-down since construction or
-  /// Clear() — the heap-maintenance cost counter surfaced in RunStats.
+  /// Element moves performed by sift-up/sift-down since construction — the
+  /// heap-maintenance cost counter surfaced in RunStats.
   std::uint64_t ops() const { return ops_; }
-
-  void Clear();
 
  private:
   struct Entry {
@@ -134,12 +132,6 @@ class VertexScheduler {
   std::size_t size() const {
     return delta_mode_ ? delta_.size() : raw_.size();
   }
-
-  /// Crash-path reset: discards every pending message, accumulated delta,
-  /// priority-index entry, sweep cursor, and counter. The engine calls this
-  /// when discarding stale work drained from a previous run's fabric
-  /// buffers, so no stale delta can replay into a fresh run.
-  void Clear();
 
   const Stats& stats() const { return stats_; }
   std::uint64_t heap_ops() const { return heap_.ops(); }

@@ -38,6 +38,9 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
   *stats = QueryStats();
   net::Fabric& fabric = graph_->cloud()->fabric();
   cloud::MemoryCloud* cloud = graph_->cloud();
+  // This query's round meters and frontier handler id. run.ctx has no
+  // deadline: `ctx` gates the rounds, run.ctx only meters them.
+  net::Fabric::RunScope run(fabric);
   struct FrontierEntry {
     CellId vertex;
     std::uint32_t depth;
@@ -60,8 +63,7 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
   // expansion loop never touches the fabric), so `rounds` needs no lock.
   for (MachineId m = 0; m < num_slaves_; ++m) {
     fabric.RegisterAsyncHandler(
-        m, cloud::kTraversalExpandHandler,
-        [m, &rounds](MachineId, Slice payload) {
+        m, run.handler, [m, &rounds](MachineId, Slice payload) {
           ForEachPackedRecord(payload, [m, &rounds](CellId vertex,
                                                     Slice depth_bytes) {
             if (depth_bytes.size() != 4) return;
@@ -94,14 +96,14 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
       Status gate = ctx->Check();
       if (!gate.ok()) return gate;
     }
-    fabric.ResetMeters();
+    run.meters.Reset();
     // One round: every machine expands its frontier slice on a pool worker
     // (lock-free — remote discoveries go into per-destination outboxes).
     pool_->ParallelFor(num_slaves_, [&](int mi) {
       const MachineId m = mi;
       MachineRound& round = rounds[m];
       round.status = Status::OK();
-      net::Fabric::MeterScope meter(fabric, m);
+      net::Fabric::MeterScope meter(fabric, m, &run.meters);
       storage::MemoryStorage* store = cloud->storage(m);
       // Shared expansion body: runs the user visitor and buckets neighbors,
       // identical for locally-visited and batch-fetched vertices.
@@ -156,7 +158,7 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
         ids.reserve(misses.size());
         for (const FrontierEntry& entry : misses) ids.push_back(entry.vertex);
         std::vector<cloud::MemoryCloud::MultiGetResult> fetched;
-        Status ms = cloud->MultiGet(m, ids, &fetched);
+        Status ms = cloud->MultiGet(m, ids, &fetched, &run.ctx);
         if (ms.ok()) {
           for (std::size_t i = 0; i < misses.size(); ++i) {
             if (!fetched[i].status.ok()) continue;
@@ -178,27 +180,26 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
       stats->visited += round.visited_count;
       round.visited_count = 0;
     }
-    // Round barrier: one packed payload per (src,dst) pair with traffic in
-    // flight, drained in canonical src-asc, dst-asc order.
+    // Round barrier (one communication round): one packed payload per
+    // (src,dst) pair with traffic in flight, in canonical src/dst order.
     for (MachineId src = 0; src < num_slaves_; ++src) {
       for (MachineId dst = 0; dst < num_slaves_; ++dst) {
         Outbox& outbox = rounds[src].outboxes[dst];
         if (outbox.empty()) continue;
-        fabric.SendPacked(src, dst, cloud::kTraversalExpandHandler,
-                          Slice(outbox.bytes), outbox.count);
+        fabric.SendPacked(src, dst, run.handler, Slice(outbox.bytes),
+                          outbox.count, &run.ctx);
         outbox.Clear();
       }
     }
-    fabric.FlushAll();  // One communication round.
     for (MachineRound& round : rounds) {
       round.frontier = std::move(round.incoming);
       round.incoming.clear();
     }
-    const net::NetworkStats net = fabric.stats();
+    const net::NetworkStats net = run.meters.stats();
     stats->messages += net.messages;
     stats->transfers += net.transfers;
     const double round_millis =
-        options_.cost_model.PhaseSeconds(fabric) * 1000.0;
+        options_.cost_model.PhaseSeconds(run.meters) * 1000.0;
     stats->modeled_millis += round_millis;
     ++stats->rounds;
     // The round's modeled latency is time the caller waited: charge it to

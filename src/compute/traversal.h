@@ -30,6 +30,10 @@ namespace trinity::compute {
 /// workers. Query latency is modeled per round — exactly the round-trip
 /// structure a real deployment would see — and summed into
 /// QueryStats::modeled_millis, the number Fig 12(a) plots.
+///
+/// Every query meters into its own net::MeterSet under its own fabric
+/// handler id, so queries may run concurrently with each other (on one
+/// engine or many) and with any other workload on the cloud.
 class TraversalEngine {
  public:
   struct Options {

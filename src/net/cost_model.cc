@@ -4,19 +4,18 @@
 
 namespace trinity::net {
 
-double CostModel::ComputeSeconds(const Fabric& fabric) const {
-  return fabric.MaxCpuMicros() / params_.cores_per_machine / 1e6;
+double CostModel::ComputeSeconds(const MeterSet& meters) const {
+  return meters.MaxCpuMicros() / params_.cores_per_machine / 1e6;
 }
 
-double CostModel::CommSeconds(const Fabric& fabric) const {
-  const PerMachineTraffic traffic = fabric.traffic();
+double CostModel::CommSeconds(const MeterSet& meters) const {
   double max_bytes = 0.0;
   double max_transfers = 0.0;
-  for (int m = 0; m < fabric.num_machines(); ++m) {
-    const double bytes = static_cast<double>(traffic.bytes_in[m]) +
-                         static_cast<double>(traffic.bytes_out[m]);
-    const double transfers = static_cast<double>(traffic.transfers_in[m]) +
-                             static_cast<double>(traffic.transfers_out[m]);
+  for (const MachineTraffic& traffic : meters.traffic()) {
+    const double bytes = static_cast<double>(traffic.bytes_in) +
+                         static_cast<double>(traffic.bytes_out);
+    const double transfers = static_cast<double>(traffic.transfers_in) +
+                             static_cast<double>(traffic.transfers_out);
     max_bytes = std::max(max_bytes, bytes);
     max_transfers = std::max(max_transfers, transfers);
   }
@@ -26,8 +25,8 @@ double CostModel::CommSeconds(const Fabric& fabric) const {
   return (serialization_us + latency_us) / 1e6;
 }
 
-double CostModel::PhaseSeconds(const Fabric& fabric) const {
-  return ComputeSeconds(fabric) + CommSeconds(fabric);
+double CostModel::PhaseSeconds(const MeterSet& meters) const {
+  return ComputeSeconds(meters) + CommSeconds(meters);
 }
 
 }  // namespace trinity::net

@@ -6,11 +6,12 @@
 namespace trinity::net {
 
 /// Converts one metered phase (CPU microseconds per machine + per-machine
-/// NIC traffic) into the wall-clock seconds an m-machine cluster would take.
+/// NIC traffic, in one MeterSet) into the seconds an m-machine cluster takes.
 ///
 /// All machines of the simulated cluster execute on this single host, so raw
 /// wall time says nothing about cluster scaling. Instead the engines meter
-/// real work per simulated machine, and this model recombines it:
+/// real work per simulated machine into a MeterSet each run owns (so
+/// concurrent runs price independently), and this model recombines it:
 ///
 ///   phase_time = max_m cpu(m) / cores
 ///              + max_m (bytes_in(m) + bytes_out(m)) / bandwidth
@@ -34,14 +35,14 @@ class CostModel {
   CostModel() : params_() {}
   explicit CostModel(const Params& params) : params_(params) {}
 
-  /// Modeled seconds for the phase currently metered in `fabric`.
-  double PhaseSeconds(const Fabric& fabric) const;
+  /// Modeled seconds for the phase metered in `meters`.
+  double PhaseSeconds(const MeterSet& meters) const;
 
   /// Modeled compute-only seconds (critical-path CPU / cores).
-  double ComputeSeconds(const Fabric& fabric) const;
+  double ComputeSeconds(const MeterSet& meters) const;
 
   /// Modeled communication-only seconds.
-  double CommSeconds(const Fabric& fabric) const;
+  double CommSeconds(const MeterSet& meters) const;
 
   const Params& params() const { return params_; }
 

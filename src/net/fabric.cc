@@ -1,34 +1,60 @@
 #include "net/fabric.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace trinity::net {
 
+using C = MeterSet::Counters;
+
+void MeterSet::AddTransfer(MachineId src, MachineId dst, std::uint64_t bytes,
+                           std::uint64_t transfers) {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  counters_.transfers.fetch_add(transfers, kRelaxed);
+  counters_.bytes.fetch_add(bytes, kRelaxed);
+  machines_[src].traffic.bytes_out.fetch_add(bytes, kRelaxed);
+  machines_[dst].traffic.bytes_in.fetch_add(bytes, kRelaxed);
+  machines_[src].traffic.transfers_out.fetch_add(transfers, kRelaxed);
+  machines_[dst].traffic.transfers_in.fetch_add(transfers, kRelaxed);
+}
+
+PerMachineTraffic MeterSet::traffic() const {
+  PerMachineTraffic out;
+  for (int m = 0; m < num_machines_; ++m) {
+    out.push_back(machines_[m].traffic.Load());
+  }
+  return out;
+}
+
+void MeterSet::Reset() {
+  counters_.Reset();
+  for (int m = 0; m < num_machines_; ++m) {
+    machines_[m].cpu_micros.store(0.0, std::memory_order_relaxed);
+    machines_[m].traffic.Reset();
+  }
+}
+
+double MeterSet::MaxCpuMicros() const {
+  double max = 0.0;
+  for (int m = 0; m < num_machines_; ++m) max = std::max(max, cpu_micros(m));
+  return max;
+}
+
 Fabric::Fabric(int num_machines) : Fabric(num_machines, Params()) {}
 
 Fabric::Fabric(int num_machines, Params params)
-    : num_machines_(num_machines), params_(params) {
+    : num_machines_(num_machines), params_(params), totals_(num_machines) {
   TRINITY_CHECK(num_machines >= 1, "fabric needs at least one machine");
   async_handlers_.resize(num_machines_);
   sync_handlers_.resize(num_machines_);
   pair_buffers_.resize(static_cast<std::size_t>(num_machines_) *
                        num_machines_);
-  const std::size_t n = static_cast<std::size_t>(num_machines_);
-  machine_up_ = std::make_unique<std::atomic<bool>[]>(n);
-  cpu_micros_ = std::make_unique<std::atomic<double>[]>(n);
-  traffic_bytes_in_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-  traffic_bytes_out_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-  traffic_transfers_in_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-  traffic_transfers_out_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    machine_up_[i].store(true, std::memory_order_relaxed);
-    cpu_micros_[i].store(0.0, std::memory_order_relaxed);
-    traffic_bytes_in_[i].store(0, std::memory_order_relaxed);
-    traffic_bytes_out_[i].store(0, std::memory_order_relaxed);
-    traffic_transfers_in_[i].store(0, std::memory_order_relaxed);
-    traffic_transfers_out_[i].store(0, std::memory_order_relaxed);
+  machine_up_ = std::make_unique<std::atomic<bool>[]>(
+      static_cast<std::size_t>(num_machines_));
+  for (int m = 0; m < num_machines_; ++m) {
+    machine_up_[m].store(true, std::memory_order_relaxed);
   }
 }
 
@@ -44,38 +70,69 @@ void Fabric::RegisterSyncHandler(MachineId machine, HandlerId id,
   sync_handlers_[machine][id] = std::move(fn);
 }
 
-Status Fabric::SendAsync(MachineId src, MachineId dst, HandlerId id,
-                         Slice payload) {
-  if (dst < 0 || dst >= num_machines_) {
-    return Status::InvalidArgument("bad destination machine");
+void Fabric::UnregisterHandler(HandlerId id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (int m = 0; m < num_machines_; ++m) {
+    async_handlers_[m].erase(id);
+    sync_handlers_[m].erase(id);
   }
-  stats_.messages.fetch_add(1, std::memory_order_relaxed);
+  // The run's meter set may be gone too: drop what it left buffered.
+  for (PairBuffer& buf : pair_buffers_) {
+    const auto stale = std::remove_if(
+        buf.messages.begin(), buf.messages.end(),
+        [id](const PackedMessage& msg) { return msg.handler == id; });
+    for (auto it = stale; it != buf.messages.end(); ++it) {
+      buf.bytes -= it->payload.size() + params_.frame_overhead_bytes;
+      Count(nullptr, &C::dropped, 1);
+    }
+    buf.messages.erase(stale, buf.messages.end());
+  }
+}
+
+std::size_t Fabric::num_handlers() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::size_t n = 0;
+  for (int m = 0; m < num_machines_; ++m) {
+    n += async_handlers_[m].size() + sync_handlers_[m].size();
+  }
+  return n;
+}
+
+int Fabric::AdmitSend(MachineId src, MachineId dst, HandlerId id,
+                      Slice payload, std::uint64_t count, MeterSet* run,
+                      Status* status) {
+  *status = Status::OK();
+  if (dst < 0 || dst >= num_machines_) {
+    *status = Status::InvalidArgument("bad destination machine");
+    return 0;
+  }
+  Count(run, &C::messages, count);
   if (src >= 0 && src < num_machines_ &&
       !machine_up_[src].load(std::memory_order_acquire)) {
     // A crashed machine cannot originate traffic; callers still running on
     // its behalf (e.g. a vertex program mid-superstep) see the failure.
-    stats_.dropped.fetch_add(1, std::memory_order_relaxed);
-    return Status::Unavailable("source machine is down");
+    Count(run, &C::dropped, count);
+    *status = Status::Unavailable("source machine is down");
+    return 0;
   }
   if (!machine_up_[dst].load(std::memory_order_acquire)) {
-    stats_.dropped.fetch_add(1, std::memory_order_relaxed);
-    return Status::Unavailable("destination machine is down");
+    Count(run, &C::dropped, count);
+    *status = Status::Unavailable("destination machine is down");
+    return 0;
   }
-  if (src == dst) {
-    stats_.local_messages.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (src == dst) Count(run, &C::local_messages, count);
   int copies = 1;
   if (injector_ != nullptr) {
+    // One injector event per send, packed or not: a drop silently loses the
+    // whole payload (the unit that actually crosses the wire).
     switch (injector_->OnAsyncMessage(src, dst, id)) {
       case FaultInjector::AsyncAction::kDrop:
-        // Silent loss: the sender believes the send succeeded — that is the
-        // fault being modeled.
-        stats_.dropped.fetch_add(1, std::memory_order_relaxed);
-        stats_.injected_drops.fetch_add(1, std::memory_order_relaxed);
+        Count(run, &C::dropped, count);
+        Count(run, &C::injected_drops, 1);
         MaybeTriggerCrashes(src, dst);
-        return Status::OK();
+        return 0;
       case FaultInjector::AsyncAction::kDuplicate:
-        stats_.injected_duplicates.fetch_add(1, std::memory_order_relaxed);
+        Count(run, &C::injected_duplicates, 1);
         copies = 2;
         break;
       case FaultInjector::AsyncAction::kDeliver:
@@ -84,16 +141,25 @@ Status Fabric::SendAsync(MachineId src, MachineId dst, HandlerId id,
   }
   if (src == dst) {
     // Local delivery never touches the wire.
-    for (int c = 0; c < copies; ++c) Deliver(src, dst, id, payload);
+    for (int c = 0; c < copies; ++c) Deliver(src, dst, id, payload, run);
     MaybeTriggerCrashes(src, dst);
-    return Status::OK();
+    return 0;
   }
+  return copies;
+}
+
+Status Fabric::SendAsync(MachineId src, MachineId dst, HandlerId id,
+                         Slice payload, CallContext* ctx) {
+  MeterSet* const run = MetersOf(ctx);
+  Status status;
+  const int copies = AdmitSend(src, dst, id, payload, 1, run, &status);
+  if (copies == 0) return status;
   if (!params_.pack_messages) {
     // Ablation mode: every message is its own physical transfer.
     for (int c = 0; c < copies; ++c) {
       AccountTransfer(src, dst, payload.size() + params_.frame_overhead_bytes,
-                      1);
-      Deliver(src, dst, id, payload);
+                      1, run);
+      Deliver(src, dst, id, payload, run);
     }
     MaybeTriggerCrashes(src, dst);
     return Status::OK();
@@ -103,7 +169,7 @@ Status Fabric::SendAsync(MachineId src, MachineId dst, HandlerId id,
     std::lock_guard<std::mutex> lock(mu_);
     PairBuffer& buf = pair_buffers_[PairIndex(src, dst)];
     for (int c = 0; c < copies; ++c) {
-      buf.messages.push_back(PackedMessage{id, payload.ToString()});
+      buf.messages.push_back(PackedMessage{id, payload.ToString(), run});
       buf.bytes += payload.size() + params_.frame_overhead_bytes;
     }
     flush_now = buf.bytes >= params_.pack_threshold_bytes;
@@ -117,46 +183,13 @@ Status Fabric::SendAsync(MachineId src, MachineId dst, HandlerId id,
 }
 
 Status Fabric::SendPacked(MachineId src, MachineId dst, HandlerId id,
-                          Slice payload, std::uint64_t message_count) {
-  if (dst < 0 || dst >= num_machines_) {
-    return Status::InvalidArgument("bad destination machine");
-  }
-  stats_.messages.fetch_add(message_count, std::memory_order_relaxed);
-  if (src >= 0 && src < num_machines_ &&
-      !machine_up_[src].load(std::memory_order_acquire)) {
-    stats_.dropped.fetch_add(message_count, std::memory_order_relaxed);
-    return Status::Unavailable("source machine is down");
-  }
-  if (!machine_up_[dst].load(std::memory_order_acquire)) {
-    stats_.dropped.fetch_add(message_count, std::memory_order_relaxed);
-    return Status::Unavailable("destination machine is down");
-  }
-  if (src == dst) {
-    stats_.local_messages.fetch_add(message_count, std::memory_order_relaxed);
-  }
-  int copies = 1;
-  if (injector_ != nullptr) {
-    // The injector sees the packed payload as one message event: a drop
-    // loses the whole batch (the unit that actually crosses the wire).
-    switch (injector_->OnAsyncMessage(src, dst, id)) {
-      case FaultInjector::AsyncAction::kDrop:
-        stats_.dropped.fetch_add(message_count, std::memory_order_relaxed);
-        stats_.injected_drops.fetch_add(1, std::memory_order_relaxed);
-        MaybeTriggerCrashes(src, dst);
-        return Status::OK();
-      case FaultInjector::AsyncAction::kDuplicate:
-        stats_.injected_duplicates.fetch_add(1, std::memory_order_relaxed);
-        copies = 2;
-        break;
-      case FaultInjector::AsyncAction::kDeliver:
-        break;
-    }
-  }
-  if (src == dst) {
-    for (int c = 0; c < copies; ++c) Deliver(src, dst, id, payload);
-    MaybeTriggerCrashes(src, dst);
-    return Status::OK();
-  }
+                          Slice payload, std::uint64_t message_count,
+                          CallContext* ctx) {
+  MeterSet* const run = MetersOf(ctx);
+  Status status;
+  const int copies =
+      AdmitSend(src, dst, id, payload, message_count, run, &status);
+  if (copies == 0) return status;
   std::size_t transfers;
   std::size_t wire_bytes;
   if (params_.pack_messages) {
@@ -172,8 +205,8 @@ Status Fabric::SendPacked(MachineId src, MachineId dst, HandlerId id,
     wire_bytes = payload.size() + transfers * params_.frame_overhead_bytes;
   }
   for (int c = 0; c < copies; ++c) {
-    AccountTransfer(src, dst, wire_bytes, transfers);
-    Deliver(src, dst, id, payload);
+    AccountTransfer(src, dst, wire_bytes, transfers, run);
+    Deliver(src, dst, id, payload, run);
   }
   MaybeTriggerCrashes(src, dst);
   return Status::OK();
@@ -189,14 +222,15 @@ Status Fabric::Call(MachineId src, MachineId dst, HandlerId id, Slice payload,
     Status gate = ctx->Check();
     if (!gate.ok()) return gate;
   }
-  stats_.sync_calls.fetch_add(1, std::memory_order_relaxed);
+  MeterSet* const run = MetersOf(ctx);
+  Count(run, &C::sync_calls, 1);
   if (src >= 0 && src < num_machines_ &&
       !machine_up_[src].load(std::memory_order_acquire)) {
-    stats_.dropped.fetch_add(1, std::memory_order_relaxed);
+    Count(run, &C::dropped, 1);
     return Status::Unavailable("source machine is down");
   }
   if (!machine_up_[dst].load(std::memory_order_acquire)) {
-    stats_.dropped.fetch_add(1, std::memory_order_relaxed);
+    Count(run, &C::dropped, 1);
     return Status::Unavailable("destination machine is down");
   }
   if (injector_ != nullptr) {
@@ -204,7 +238,7 @@ Status Fabric::Call(MachineId src, MachineId dst, HandlerId id, Slice payload,
     // exactly as if the request (or its response) was lost.
     Status injected = injector_->OnCall(src, dst, id);
     if (!injected.ok()) {
-      stats_.injected_call_failures.fetch_add(1, std::memory_order_relaxed);
+      Count(run, &C::injected_call_failures, 1);
       MaybeTriggerCrashes(src, dst);
       return injected;
     }
@@ -213,8 +247,8 @@ Status Fabric::Call(MachineId src, MachineId dst, HandlerId id, Slice payload,
       // A straggler call: the caller blocks for `delay` simulated micros
       // before the handler runs. Charge the wait to the caller's CPU meter
       // and to the request's deadline budget.
-      stats_.injected_call_delays.fetch_add(1, std::memory_order_relaxed);
-      if (src >= 0 && src < num_machines_) AddCpuMicros(src, delay);
+      Count(run, &C::injected_call_delays, 1);
+      if (src >= 0 && src < num_machines_) AddCpuMicros(src, delay, run);
       if (ctx != nullptr) {
         if (ctx->has_deadline() && delay >= ctx->remaining_micros()) {
           // The deadline fires mid-wait; abandon the straggler.
@@ -239,18 +273,18 @@ Status Fabric::Call(MachineId src, MachineId dst, HandlerId id, Slice payload,
   if (src != dst) {
     // Request + response are two physical transfers.
     AccountTransfer(src, dst, payload.size() + params_.frame_overhead_bytes,
-                    1);
+                    1, run);
   } else {
-    stats_.local_messages.fetch_add(1, std::memory_order_relaxed);
+    Count(run, &C::local_messages, 1);
   }
   Status s;
   {
-    MeterScope meter(*this, dst);
+    MeterScope meter(*this, dst, run);
     s = handler(src, payload, response);
   }
   if (src != dst && response != nullptr) {
     AccountTransfer(dst, src, response->size() + params_.frame_overhead_bytes,
-                    1);
+                    1, run);
   }
   MaybeTriggerCrashes(src, dst);
   return s;
@@ -288,9 +322,10 @@ void Fabric::FlushPairLocked(MachineId src, MachineId dst, bool force) {
   // SendAsync on this pair.
   PairBuffer& buf = pair_buffers_[PairIndex(src, dst)];
   if (buf.messages.empty()) return;
+  MeterSet* const run = buf.messages.front().meters;
   if (!force && injector_ != nullptr && injector_->DelayFlush(src, dst)) {
     // Injected delay: the buffer stays queued until the next FlushAll.
-    stats_.delayed_flushes.fetch_add(1, std::memory_order_relaxed);
+    Count(run, &C::delayed_flushes, 1);
     return;
   }
   std::vector<PackedMessage> batch = std::move(buf.messages);
@@ -299,23 +334,23 @@ void Fabric::FlushPairLocked(MachineId src, MachineId dst, bool force) {
   buf.bytes = 0;
   const bool alive = machine_up_[dst].load(std::memory_order_acquire);
   if (!alive) {
-    stats_.dropped.fetch_add(batch.size(), std::memory_order_relaxed);
+    Count(run, &C::dropped, batch.size());
     return;
   }
   mu_.unlock();
-  AccountTransfer(src, dst, bytes, 1);
+  AccountTransfer(src, dst, bytes, 1, run);
   for (const auto& msg : batch) {
-    Deliver(src, dst, msg.handler, Slice(msg.payload));
+    Deliver(src, dst, msg.handler, Slice(msg.payload), msg.meters);
   }
   mu_.lock();
 }
 
 void Fabric::Deliver(MachineId src, MachineId dst, HandlerId id,
-                     Slice payload) {
+                     Slice payload, MeterSet* run) {
   AsyncHandler handler;
   {
     if (!machine_up_[dst].load(std::memory_order_acquire)) {
-      stats_.dropped.fetch_add(1, std::memory_order_relaxed);
+      Count(run, &C::dropped, 1);
       return;
     }
     std::lock_guard<std::mutex> lock(mu_);
@@ -326,20 +361,8 @@ void Fabric::Deliver(MachineId src, MachineId dst, HandlerId id,
     }
     handler = it->second;
   }
-  MeterScope meter(*this, dst);
+  MeterScope meter(*this, dst, run);
   handler(src, payload);
-}
-
-void Fabric::AccountTransfer(MachineId src, MachineId dst, std::size_t bytes,
-                             std::size_t transfer_count) {
-  stats_.transfers.fetch_add(transfer_count, std::memory_order_relaxed);
-  stats_.bytes.fetch_add(bytes, std::memory_order_relaxed);
-  traffic_bytes_out_[src].fetch_add(bytes, std::memory_order_relaxed);
-  traffic_bytes_in_[dst].fetch_add(bytes, std::memory_order_relaxed);
-  traffic_transfers_out_[src].fetch_add(transfer_count,
-                                        std::memory_order_relaxed);
-  traffic_transfers_in_[dst].fetch_add(transfer_count,
-                                       std::memory_order_relaxed);
 }
 
 void Fabric::SetFaultInjector(FaultInjector* injector) {
@@ -358,7 +381,7 @@ void Fabric::MaybeTriggerCrashes(MachineId src, MachineId dst) {
     // exchange() makes the down-transition race-free: exactly one caller
     // observes true→false and fires the listener.
     const bool fired = machine_up_[m].exchange(false, std::memory_order_acq_rel);
-    if (fired) stats_.injected_crashes.fetch_add(1, std::memory_order_relaxed);
+    if (fired) Count(nullptr, &C::injected_crashes, 1);
     // The listener runs outside mu_ so it may call back into the fabric
     // (e.g. the memory cloud dropping the crashed machine's storage).
     if (fired && crash_listener_) crash_listener_(m);
@@ -377,86 +400,6 @@ void Fabric::SetMachineUp(MachineId machine) {
 bool Fabric::IsMachineUp(MachineId machine) const {
   if (machine < 0 || machine >= num_machines_) return false;
   return machine_up_[machine].load(std::memory_order_acquire);
-}
-
-void Fabric::AddCpuMicros(MachineId machine, double micros) {
-  cpu_micros_[machine].fetch_add(micros, std::memory_order_relaxed);
-}
-
-double Fabric::cpu_micros(MachineId machine) const {
-  return cpu_micros_[machine].load(std::memory_order_relaxed);
-}
-
-double Fabric::MaxCpuMicros() const {
-  double max = 0.0;
-  for (int m = 0; m < num_machines_; ++m) {
-    max = std::max(max, cpu_micros_[m].load(std::memory_order_relaxed));
-  }
-  return max;
-}
-
-NetworkStats Fabric::stats() const {
-  // Lock-free snapshot; fields may be mutually inconsistent for an instant,
-  // which is fine for meters read at phase boundaries.
-  NetworkStats out;
-  out.messages = stats_.messages.load(std::memory_order_relaxed);
-  out.transfers = stats_.transfers.load(std::memory_order_relaxed);
-  out.bytes = stats_.bytes.load(std::memory_order_relaxed);
-  out.sync_calls = stats_.sync_calls.load(std::memory_order_relaxed);
-  out.local_messages = stats_.local_messages.load(std::memory_order_relaxed);
-  out.dropped = stats_.dropped.load(std::memory_order_relaxed);
-  out.injected_drops = stats_.injected_drops.load(std::memory_order_relaxed);
-  out.injected_duplicates =
-      stats_.injected_duplicates.load(std::memory_order_relaxed);
-  out.injected_call_failures =
-      stats_.injected_call_failures.load(std::memory_order_relaxed);
-  out.injected_crashes =
-      stats_.injected_crashes.load(std::memory_order_relaxed);
-  out.delayed_flushes =
-      stats_.delayed_flushes.load(std::memory_order_relaxed);
-  out.injected_call_delays =
-      stats_.injected_call_delays.load(std::memory_order_relaxed);
-  return out;
-}
-
-PerMachineTraffic Fabric::traffic() const {
-  PerMachineTraffic out;
-  const std::size_t n = static_cast<std::size_t>(num_machines_);
-  out.bytes_in.resize(n);
-  out.bytes_out.resize(n);
-  out.transfers_in.resize(n);
-  out.transfers_out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.bytes_in[i] = traffic_bytes_in_[i].load(std::memory_order_relaxed);
-    out.bytes_out[i] = traffic_bytes_out_[i].load(std::memory_order_relaxed);
-    out.transfers_in[i] =
-        traffic_transfers_in_[i].load(std::memory_order_relaxed);
-    out.transfers_out[i] =
-        traffic_transfers_out_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-void Fabric::ResetMeters() {
-  stats_.messages.store(0, std::memory_order_relaxed);
-  stats_.transfers.store(0, std::memory_order_relaxed);
-  stats_.bytes.store(0, std::memory_order_relaxed);
-  stats_.sync_calls.store(0, std::memory_order_relaxed);
-  stats_.local_messages.store(0, std::memory_order_relaxed);
-  stats_.dropped.store(0, std::memory_order_relaxed);
-  stats_.injected_drops.store(0, std::memory_order_relaxed);
-  stats_.injected_duplicates.store(0, std::memory_order_relaxed);
-  stats_.injected_call_failures.store(0, std::memory_order_relaxed);
-  stats_.injected_crashes.store(0, std::memory_order_relaxed);
-  stats_.delayed_flushes.store(0, std::memory_order_relaxed);
-  stats_.injected_call_delays.store(0, std::memory_order_relaxed);
-  for (int m = 0; m < num_machines_; ++m) {
-    cpu_micros_[m].store(0.0, std::memory_order_relaxed);
-    traffic_bytes_in_[m].store(0, std::memory_order_relaxed);
-    traffic_bytes_out_[m].store(0, std::memory_order_relaxed);
-    traffic_transfers_in_[m].store(0, std::memory_order_relaxed);
-    traffic_transfers_out_[m].store(0, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace trinity::net

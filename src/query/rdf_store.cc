@@ -68,11 +68,11 @@ Status RdfStore::GetObjects(CellId subject, Predicate predicate,
 }
 
 Status RdfStore::GetObjectsFrom(MachineId src, CellId subject,
-                                Predicate predicate,
-                                std::vector<CellId>* out) {
+                                Predicate predicate, std::vector<CellId>* out,
+                                CallContext* ctx) {
   out->clear();
   std::string blob;
-  Status s = cloud_->GetCellFrom(src, subject, &blob);
+  Status s = cloud_->GetCellFrom(src, subject, &blob, ctx);
   if (!s.ok()) return s;
   EntityType type;
   std::size_t triples = 0;
@@ -117,24 +117,24 @@ Status RdfStore::ScanLocal(MachineId machine, const EntityVisitor& visit) {
 }
 
 Status SparqlQueries::RunParallelScan(
-    const std::function<Status(MachineId)>& body, QueryStats* stats) {
+    const std::function<Status(MachineId, CallContext*)>& body,
+    QueryStats* stats) {
   net::Fabric& fabric = store_->cloud()->fabric();
-  fabric.ResetMeters();
+  net::Fabric::RunScope run(fabric);
   for (MachineId m = 0; m < store_->cloud()->num_slaves(); ++m) {
-    net::Fabric::MeterScope meter(fabric, m);
-    Status s = body(m);
+    net::Fabric::MeterScope meter(fabric, m, &run.meters);
+    Status s = body(m, &run.ctx);
     if (!s.ok()) return s;
   }
-  fabric.FlushAll();
-  stats->modeled_millis += cost_model_.PhaseSeconds(fabric) * 1000.0;
-  stats->remote_lookups += fabric.stats().sync_calls;
+  stats->modeled_millis += cost_model_.PhaseSeconds(run.meters) * 1000.0;
+  stats->remote_lookups += run.meters.stats().sync_calls;
   return Status::OK();
 }
 
 Status SparqlQueries::StudentsOfCourse(CellId course, QueryStats* stats) {
   *stats = QueryStats();
   return RunParallelScan(
-      [&](MachineId m) {
+      [&](MachineId m, CallContext*) {
         return store_->ScanLocal(m, [&](CellId, EntityType type,
                                         const auto& for_each_triple) {
           if (type != EntityType::kStudent) return;
@@ -153,7 +153,7 @@ Status SparqlQueries::ProfessorsOfUniversity(CellId university,
   *stats = QueryStats();
   // Scan professors; follow worksFor -> department -> subOrganizationOf.
   return RunParallelScan(
-      [&](MachineId m) {
+      [&](MachineId m, CallContext* ctx) {
         Status failure;
         Status s = store_->ScanLocal(m, [&](CellId, EntityType type,
                                             const auto& for_each_triple) {
@@ -162,7 +162,8 @@ Status SparqlQueries::ProfessorsOfUniversity(CellId university,
             if (p != Predicate::kWorksFor) return;
             std::vector<CellId> universities;
             Status ls = store_->GetObjectsFrom(
-                m, department, Predicate::kSubOrganizationOf, &universities);
+                m, department, Predicate::kSubOrganizationOf, &universities,
+                ctx);
             if (!ls.ok()) {
               failure = ls;
               return;
@@ -183,7 +184,7 @@ Status SparqlQueries::StudentsAdvisedByTheirTeacher(QueryStats* stats) {
   // Triangle: student -advisor-> professor -teacherOf-> course
   //           student -takesCourse-> course.
   return RunParallelScan(
-      [&](MachineId m) {
+      [&](MachineId m, CallContext* ctx) {
         Status failure;
         Status s = store_->ScanLocal(m, [&](CellId, EntityType type,
                                             const auto& for_each_triple) {
@@ -196,8 +197,8 @@ Status SparqlQueries::StudentsAdvisedByTheirTeacher(QueryStats* stats) {
           });
           for (CellId advisor : advisors) {
             std::vector<CellId> taught;
-            Status ls = store_->GetObjectsFrom(m, advisor,
-                                               Predicate::kTeacherOf, &taught);
+            Status ls = store_->GetObjectsFrom(
+                m, advisor, Predicate::kTeacherOf, &taught, ctx);
             if (!ls.ok()) {
               failure = ls;
               return;
@@ -222,7 +223,7 @@ Status SparqlQueries::ProfessorsAffiliatedWith(CellId university,
   // Path: professor -worksFor-> department -subOrganizationOf-> university,
   // plus students of those professors via -advisor->. Counts professors.
   return RunParallelScan(
-      [&](MachineId m) {
+      [&](MachineId m, CallContext* ctx) {
         Status failure;
         Status s = store_->ScanLocal(m, [&](CellId, EntityType type,
                                             const auto& for_each_triple) {
@@ -248,7 +249,8 @@ Status SparqlQueries::ProfessorsAffiliatedWith(CellId university,
             if (p != Predicate::kWorksFor) return;
             std::vector<CellId> universities;
             Status ls = store_->GetObjectsFrom(
-                m, department, Predicate::kSubOrganizationOf, &universities);
+                m, department, Predicate::kSubOrganizationOf, &universities,
+                ctx);
             if (!ls.ok()) {
               failure = ls;
               return;

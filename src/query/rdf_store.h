@@ -58,8 +58,9 @@ class RdfStore {
   /// Objects of (subject, predicate, ?o).
   Status GetObjects(CellId subject, Predicate predicate,
                     std::vector<CellId>* out);
+  /// `ctx` (optional) carries the caller's meter set to the fabric.
   Status GetObjectsFrom(MachineId src, CellId subject, Predicate predicate,
-                        std::vector<CellId>* out);
+                        std::vector<CellId>* out, CallContext* ctx = nullptr);
 
   struct Triple {
     Predicate predicate;
@@ -105,10 +106,11 @@ class SparqlQueries {
   Status ProfessorsAffiliatedWith(CellId university, QueryStats* stats);
 
  private:
-  /// Runs `body(machine)` once per slave under the fabric meter and folds
-  /// the phase into stats.
+  /// Runs `body(machine, ctx)` once per slave under the query's own meters
+  /// (`ctx` carries them to cell lookups) and folds the phase into stats.
   Status RunParallelScan(
-      const std::function<Status(MachineId)>& body, QueryStats* stats);
+      const std::function<Status(MachineId, CallContext*)>& body,
+      QueryStats* stats);
 
   RdfStore* store_;
   net::CostModel cost_model_;

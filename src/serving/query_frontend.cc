@@ -96,9 +96,6 @@ Status QueryFrontend::Dispatch(const Request& request, CallContext* ctx,
       if (graph_ == nullptr) {
         return Status::InvalidArgument("frontend has no graph attached");
       }
-      // One traversal at a time: the engine registers fabric handlers for
-      // the shared expand handler id and resets fabric meters per round.
-      std::lock_guard<std::mutex> lock(traversal_mu_);
       compute::TraversalEngine engine(graph_);
       compute::TraversalEngine::QueryStats qstats;
       std::uint64_t visited = 0;
@@ -116,7 +113,6 @@ Status QueryFrontend::Dispatch(const Request& request, CallContext* ctx,
       if (graph_ == nullptr) {
         return Status::InvalidArgument("frontend has no graph attached");
       }
-      std::lock_guard<std::mutex> lock(traversal_mu_);
       query::Tql tql(graph_);
       return tql.Execute(request.statement, &response->tql, ctx);
     }

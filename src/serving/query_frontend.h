@@ -44,9 +44,8 @@ namespace trinity::serving {
 ///
 /// Execute is thread-safe; concurrency comes from caller threads (the
 /// open-loop bench drives one frontend from many workers). Traversal
-/// requests (kKHop/kTql) serialize on an internal mutex because the
-/// traversal engine registers per-query fabric handlers and resets the
-/// fabric meters per round.
+/// requests (kKHop/kTql) run concurrently too: each query meters into its
+/// own net::MeterSet under its own fabric handler id.
 class QueryFrontend {
  public:
   struct Options {
@@ -158,11 +157,6 @@ class QueryFrontend {
   std::condition_variable admission_cv_;
   std::vector<int> inflight_per_machine_;
   int inflight_total_ = 0;
-
-  /// kKHop/kTql serialize here: TraversalEngine registers fabric handlers
-  /// for the shared kTraversalExpandHandler id and resets fabric meters
-  /// per round, so at most one traversal may run at a time.
-  std::mutex traversal_mu_;
 
   mutable std::mutex stats_mu_;
   Histogram latency_micros_;  ///< Guarded by stats_mu_.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <queue>
@@ -396,6 +397,31 @@ TEST(TraversalTest, KHopVisitsExactlyOnce) {
   EXPECT_EQ(depth[2], 2);
   EXPECT_EQ(depth[4], 2);
   EXPECT_EQ(stats.visited, 5u);
+}
+
+// The OS thread count of this process, from /proc/self/status.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(TraversalTest, DefaultEngineStartsNoThread) {
+  Fixture f = NewGraph();
+  BuildChain(f.graph.get());
+  const int before = ProcessThreads();
+  ASSERT_GT(before, 0);
+  TraversalEngine engine(f.graph.get());  // num_threads = 1: runs inline.
+  EXPECT_EQ(ProcessThreads(), before);
+  TraversalEngine::QueryStats stats;
+  ASSERT_TRUE(engine
+                  .KHopExplore(0, 2, [](CellId, int, Slice) { return true; },
+                               &stats)
+                  .ok());
+  EXPECT_EQ(ProcessThreads(), before);
 }
 
 TEST(TraversalTest, DepthLimitEnforced) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "cloud/memory_cloud.h"
+#include "compute/traversal.h"
+#include "graph/graph.h"
 #include "net/cost_model.h"
 #include "net/fault_injector.h"
 
@@ -203,15 +208,107 @@ TEST(FabricTest, HandlersCanSendRecursively) {
   EXPECT_EQ(hops[1], 2);
 }
 
-TEST(FabricTest, MetersAccumulateAndReset) {
-  Fabric fabric(2);
-  fabric.AddCpuMicros(0, 150.0);
-  fabric.AddCpuMicros(1, 50.0);
-  EXPECT_DOUBLE_EQ(fabric.cpu_micros(0), 150.0);
-  EXPECT_DOUBLE_EQ(fabric.MaxCpuMicros(), 150.0);
-  fabric.ResetMeters();
-  EXPECT_DOUBLE_EQ(fabric.MaxCpuMicros(), 0.0);
-  EXPECT_EQ(fabric.stats().messages, 0u);
+TEST(FabricTest, MeterSetsStayIsolatedAndSumToTotals) {
+  // Two runs charge their own meter sets concurrently, on disjoint pairs
+  // (a buffered transfer is charged to its first message's set).
+  Fabric fabric(3);
+  for (MachineId m = 0; m < 3; ++m) {
+    fabric.RegisterAsyncHandler(m, 7, [](MachineId, Slice) {});
+    fabric.RegisterSyncHandler(m, 8,
+                               [](MachineId, Slice, std::string* response) {
+                                 *response = "ok";
+                                 return Status::OK();
+                               });
+  }
+  MeterSet a(3), b(3);
+  CallContext ctx_a, ctx_b;
+  ctx_a.set_meters(&a);
+  ctx_b.set_meters(&b);
+  std::thread run_a([&] {
+    const std::string packed(100, 'p');
+    std::string response;
+    for (int i = 0; i < 200; ++i) {
+      EXPECT_TRUE(fabric.SendAsync(0, 1, 7, Slice("a"), &ctx_a).ok());
+      EXPECT_TRUE(fabric.SendPacked(0, 2, 7, Slice(packed), 5, &ctx_a).ok());
+      EXPECT_TRUE(fabric.Call(0, 2, 8, Slice("q"), &response, &ctx_a).ok());
+    }
+    fabric.Flush(0);
+  });
+  std::thread run_b([&] {
+    std::string response;
+    for (int i = 0; i < 300; ++i) {
+      EXPECT_TRUE(fabric.SendAsync(2, 1, 7, Slice("bb"), &ctx_b).ok());
+      EXPECT_TRUE(fabric.Call(2, 0, 8, Slice("q"), &response, &ctx_b).ok());
+    }
+    fabric.Flush(2);
+  });
+  run_a.join();
+  run_b.join();
+
+  const NetworkStats sa = a.stats();
+  const NetworkStats sb = b.stats();
+  EXPECT_EQ(sa.messages, 200u + 200u * 5u);
+  EXPECT_EQ(sa.sync_calls, 200u);
+  EXPECT_EQ(sb.messages, 300u);
+  EXPECT_EQ(sb.sync_calls, 300u);
+  // Call responses land in the caller's set: a's come back 2 -> 0, b's
+  // 0 -> 2, one transfer each.
+  EXPECT_EQ(a.traffic()[0].transfers_in, 200u);
+  EXPECT_EQ(b.traffic()[2].transfers_in, 300u);
+
+  // Every message, transfer and byte belongs to exactly one run.
+  const NetworkStats total = fabric.stats();
+  EXPECT_EQ(sa.messages + sb.messages, total.messages);
+  EXPECT_EQ(sa.transfers + sb.transfers, total.transfers);
+  EXPECT_EQ(sa.bytes + sb.bytes, total.bytes);
+  EXPECT_EQ(sa.sync_calls + sb.sync_calls, total.sync_calls);
+  const PerMachineTraffic ta = a.traffic(), tb = b.traffic();
+  const PerMachineTraffic tt = fabric.traffic();
+  for (int m = 0; m < 3; ++m) {
+    EXPECT_EQ(ta[m].bytes_in + tb[m].bytes_in, tt[m].bytes_in);
+    EXPECT_EQ(ta[m].bytes_out + tb[m].bytes_out, tt[m].bytes_out);
+    EXPECT_EQ(ta[m].transfers_in + tb[m].transfers_in, tt[m].transfers_in);
+    EXPECT_EQ(ta[m].transfers_out + tb[m].transfers_out, tt[m].transfers_out);
+  }
+  EXPECT_GT(a.cpu_micros(2), 0.0);  // a's handlers ran on 1 and 2.
+  EXPECT_DOUBLE_EQ(b.cpu_micros(2), 0.0);
+
+  // Reset zeroes only the owner's set.
+  a.Reset();
+  EXPECT_EQ(a.stats().messages, 0u);
+  EXPECT_DOUBLE_EQ(a.MaxCpuMicros(), 0.0);
+  EXPECT_EQ(b.stats().messages, 300u);
+  EXPECT_EQ(fabric.stats().messages, total.messages);
+}
+
+TEST(FabricTest, TraversalEnginesReleaseTheirHandlers) {
+  cloud::MemoryCloud::Options options;
+  options.num_slaves = 3;
+  options.p_bits = 3;
+  std::unique_ptr<cloud::MemoryCloud> cloud;
+  ASSERT_TRUE(cloud::MemoryCloud::Create(options, &cloud).ok());
+  graph::Graph graph(cloud.get());
+  for (CellId v = 0; v < 8; ++v) ASSERT_TRUE(graph.AddNode(v, Slice()).ok());
+  for (CellId v = 0; v < 8; ++v) {
+    ASSERT_TRUE(graph.AddEdge(v, (v + 1) % 8).ok());
+    ASSERT_TRUE(graph.AddEdge(v, (v + 3) % 8).ok());
+  }
+  const std::size_t handlers = cloud->fabric().num_handlers();
+  for (int i = 0; i < 1000; ++i) {
+    compute::TraversalEngine engine(&graph);
+    compute::TraversalEngine::QueryStats stats;
+    std::uint64_t visited = 0;
+    ASSERT_TRUE(engine
+                    .KHopExplore(static_cast<CellId>(i % 8), 2,
+                                 [&visited](CellId, int, Slice) {
+                                   ++visited;
+                                   return true;
+                                 },
+                                 &stats)
+                    .ok());
+    ASSERT_EQ(visited, 6u);  // v; v+1, v+3; v+2, v+4, v+6.
+  }
+  EXPECT_EQ(cloud->fabric().num_handlers(), handlers);
 }
 
 TEST(FabricTest, HandlerExecutionIsMetered) {
@@ -223,8 +320,8 @@ TEST(FabricTest, HandlerExecutionIsMetered) {
   });
   ASSERT_TRUE(fabric.SendAsync(0, 1, 7, Slice("work")).ok());
   fabric.FlushAll();
-  EXPECT_GT(fabric.cpu_micros(1), 0.0);
-  EXPECT_DOUBLE_EQ(fabric.cpu_micros(0), 0.0);
+  EXPECT_GT(fabric.totals().cpu_micros(1), 0.0);
+  EXPECT_DOUBLE_EQ(fabric.totals().cpu_micros(0), 0.0);
 }
 
 TEST(FabricTest, TrafficAttribution) {
@@ -237,10 +334,10 @@ TEST(FabricTest, TrafficAttribution) {
   fabric.SendAsync(0, 2, 7, Slice("y"));
   fabric.FlushAll();
   const PerMachineTraffic traffic = fabric.traffic();
-  EXPECT_EQ(traffic.transfers_out[0], 2u);
-  EXPECT_EQ(traffic.transfers_in[1], 1u);
-  EXPECT_EQ(traffic.transfers_in[2], 1u);
-  EXPECT_GT(traffic.bytes_out[0], 0u);
+  EXPECT_EQ(traffic[0].transfers_out, 2u);
+  EXPECT_EQ(traffic[1].transfers_in, 1u);
+  EXPECT_EQ(traffic[2].transfers_in, 1u);
+  EXPECT_GT(traffic[0].bytes_out, 0u);
 }
 
 TEST(FabricTest, SendToDownMachineCountsDropped) {
@@ -468,9 +565,9 @@ TEST(CostModelTest, ComputeTermScalesWithCriticalPath) {
   params.cores_per_machine = 2.0;
   CostModel model(params);
   fabric.AddCpuMicros(0, 2e6);  // 2 seconds of single-core work.
-  EXPECT_NEAR(model.ComputeSeconds(fabric), 1.0, 1e-9);
+  EXPECT_NEAR(model.ComputeSeconds(fabric.totals()), 1.0, 1e-9);
   fabric.AddCpuMicros(1, 1e6);  // Below the max: no change.
-  EXPECT_NEAR(model.ComputeSeconds(fabric), 1.0, 1e-9);
+  EXPECT_NEAR(model.ComputeSeconds(fabric.totals()), 1.0, 1e-9);
 }
 
 TEST(CostModelTest, CommTermScalesWithBytes) {
@@ -479,19 +576,19 @@ TEST(CostModelTest, CommTermScalesWithBytes) {
   Fabric fabric(2, fparams);
   fabric.RegisterAsyncHandler(1, 7, [](MachineId, Slice) {});
   CostModel model;
-  const double before = model.CommSeconds(fabric);
+  const double before = model.CommSeconds(fabric.totals());
   fabric.SendAsync(0, 1, 7, Slice(std::string(100000, 'b')));
   fabric.FlushAll();
-  EXPECT_GT(model.CommSeconds(fabric), before);
+  EXPECT_GT(model.CommSeconds(fabric.totals()), before);
 }
 
 TEST(CostModelTest, PhaseIsComputePlusComm) {
   Fabric fabric(2);
   CostModel model;
   fabric.AddCpuMicros(0, 1e6);
-  EXPECT_NEAR(model.PhaseSeconds(fabric),
-              model.ComputeSeconds(fabric) + model.CommSeconds(fabric),
-              1e-12);
+  const MeterSet& totals = fabric.totals();
+  EXPECT_NEAR(model.PhaseSeconds(totals),
+              model.ComputeSeconds(totals) + model.CommSeconds(totals), 1e-12);
 }
 
 // --- Straggler (injected call delay) tests --------------------------------
@@ -514,7 +611,7 @@ TEST(FaultInjectorTest, CallDelayChargesCallerCpuAndDeadline) {
   std::string response;
   ASSERT_TRUE(fabric.Call(0, 1, 7, Slice("req"), &response, &ctx).ok());
   EXPECT_TRUE(handler_ran);  // Delay slows the call, doesn't kill it.
-  EXPECT_GE(fabric.cpu_micros(0), 500.0);
+  EXPECT_GE(fabric.totals().cpu_micros(0), 500.0);
   EXPECT_GE(ctx.consumed_micros(), 500.0);
   EXPECT_EQ(fabric.stats().injected_call_delays, 1u);
   const FaultInjector::Stats stats = injector.stats();

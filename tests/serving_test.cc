@@ -22,10 +22,14 @@
 #include <thread>
 #include <vector>
 
+#include "algos/pagerank.h"
+#include "analytics/triangles.h"
 #include "cloud/memory_cloud.h"
 #include "common/call_context.h"
+#include "compute/traversal.h"
 #include "common/retry.h"
 #include "common/status.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "net/fault_injector.h"
 #include "serving/query_frontend.h"
@@ -438,6 +442,104 @@ TEST(QueryFrontendTest, KHopAndTqlWithDeadline) {
   tql.deadline_micros = 0.001;
   EXPECT_TRUE(frontend.Execute(tql, &response).IsDeadlineExceeded())
       << response.status.ToString();
+}
+
+// Traversals no longer serialize: 8 k-hop requests run through one frontend
+// while a BSP PageRank and a distributed triangle count share the cloud.
+// Every run meters into its own set, so each one's answer and counters
+// match its solo run exactly.
+TEST(QueryFrontendTest, ConcurrentKHopsBesidePageRankAndTriangles) {
+  ServingCluster c = NewServingCluster(11);
+  graph::Graph graph(c.cloud.get());
+  ASSERT_TRUE(graph::Generators::Load(
+                  &graph, graph::Generators::Rmat(1024, 8.0, 11),
+                  /*with_names=*/false, 11)
+                  .ok());
+  QueryFrontend frontend(c.cloud.get(), &graph, QueryFrontend::Options());
+  compute::TraversalEngine shared_engine(&graph);
+  constexpr int kTraversals = 8;
+
+  struct KHopRun {
+    std::uint64_t visited = 0;
+    compute::TraversalEngine::QueryStats stats;
+  };
+  const auto khop = [&](CellId start, KHopRun* run) {
+    QueryFrontend::Request request;
+    request.type = QueryFrontend::RequestType::kKHop;
+    request.id = start;
+    request.hops = 2;
+    QueryFrontend::Response response;
+    EXPECT_TRUE(frontend.Execute(request, &response).ok())
+        << response.status.ToString();
+    run->visited = response.visited;
+    EXPECT_TRUE(shared_engine
+                    .KHopExplore(start, 2, [](CellId, int, Slice) {
+                      return true;
+                    }, &run->stats)
+                    .ok());
+  };
+  algos::PageRankOptions pagerank_options;
+  pagerank_options.bsp.num_threads = 2;
+  analytics::TriangleOptions triangle_options;
+  triangle_options.num_threads = 2;
+  struct AnalyticsRun {
+    algos::PageRankResult pagerank;
+    analytics::TriangleStats triangles;
+    analytics::SnapshotBuilder::BuildStats build;
+  };
+  const auto pagerank = [&](AnalyticsRun* run) {
+    EXPECT_TRUE(
+        algos::RunPageRank(&graph, pagerank_options, &run->pagerank).ok());
+  };
+  const auto triangles = [&](AnalyticsRun* run) {
+    analytics::TriangleCounter counter(&graph, triangle_options);
+    EXPECT_TRUE(counter.CountFromCells(&run->triangles, &run->build).ok());
+  };
+
+  std::vector<KHopRun> solo_khops(kTraversals);
+  for (int i = 0; i < kTraversals; ++i) khop(i * 97, &solo_khops[i]);
+  AnalyticsRun solo;
+  pagerank(&solo);
+  triangles(&solo);
+  ASSERT_GT(solo.pagerank.stats.transfers, 0u);
+  ASSERT_GT(solo.build.exchange_messages, 0u);
+
+  // Each traversal thread repeats its query so the k-hops overlap the whole
+  // PageRank and triangle runs.
+  constexpr int kRepeats = 16;
+  std::vector<std::vector<KHopRun>> khops(kTraversals,
+                                          std::vector<KHopRun>(kRepeats));
+  AnalyticsRun shared;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kTraversals; ++i) {
+    threads.emplace_back([&, i] {
+      for (KHopRun& run : khops[i]) khop(i * 97, &run);
+    });
+  }
+  threads.emplace_back([&] { pagerank(&shared); });
+  threads.emplace_back([&] { triangles(&shared); });
+  for (std::thread& t : threads) t.join();
+
+  for (int i = 0; i < kTraversals; ++i) {
+    const KHopRun& solo_run = solo_khops[i];
+    for (const KHopRun& run : khops[i]) {
+      EXPECT_EQ(run.visited, solo_run.visited) << "start " << i * 97;
+      EXPECT_EQ(run.stats.visited, solo_run.stats.visited);
+      EXPECT_EQ(run.stats.rounds, solo_run.stats.rounds);
+      EXPECT_EQ(run.stats.messages, solo_run.stats.messages);
+      EXPECT_EQ(run.stats.transfers, solo_run.stats.transfers);
+    }
+  }
+  EXPECT_EQ(shared.pagerank.ranks, solo.pagerank.ranks);  // Bit-identical.
+  EXPECT_EQ(shared.pagerank.stats.supersteps, solo.pagerank.stats.supersteps);
+  EXPECT_EQ(shared.pagerank.stats.messages, solo.pagerank.stats.messages);
+  EXPECT_EQ(shared.pagerank.stats.transfers, solo.pagerank.stats.transfers);
+  EXPECT_EQ(shared.pagerank.stats.bytes, solo.pagerank.stats.bytes);
+  EXPECT_EQ(shared.triangles.triangles, solo.triangles.triangles);
+  EXPECT_EQ(shared.triangles.boundary_calls, solo.triangles.boundary_calls);
+  EXPECT_EQ(shared.triangles.boundary_bytes, solo.triangles.boundary_bytes);
+  EXPECT_EQ(shared.build.exchange_messages, solo.build.exchange_messages);
+  EXPECT_EQ(shared.build.exchange_bytes, solo.build.exchange_bytes);
 }
 
 // --- Chaos ----------------------------------------------------------------
