@@ -155,16 +155,23 @@ void RunConfig(bench::JsonEmitter& json, const char* graph_name,
                 "global snapshot failed");
   Stopwatch truss_watch;
   analytics::KTrussResult truss;
-  TRINITY_CHECK(analytics::KTrussDecompose(global, &truss).ok(),
+  analytics::KTrussStats truss_stats;
+  TRINITY_CHECK(analytics::KTrussDecompose(global, &truss, &truss_stats).ok(),
                 "k-truss failed");
   const double truss_ms = truss_watch.ElapsedMillis();
   TRINITY_CHECK(truss.triangles == naive, "k-truss triangle total mismatch");
-  std::printf("  k-truss   %8.1f ms  max k=%u over %zu edges\n", truss_ms,
-              truss.max_trussness, truss.num_edges());
+  std::printf(
+      "  k-truss   %8.1f ms  max k=%u over %zu edges  (adjacency %.1f, "
+      "support %.1f, peel %.1f ms)\n",
+      truss_ms, truss.max_trussness, truss.num_edges(),
+      truss_stats.adjacency_ms, truss_stats.support_ms, truss_stats.peel_ms);
   json.BeginRow("ktruss");
   json.Add("graph", std::string(graph_name));
   json.Add("machines", slaves);
   json.Add("wall_ms", truss_ms);
+  json.Add("adjacency_ms", truss_stats.adjacency_ms);
+  json.Add("support_ms", truss_stats.support_ms);
+  json.Add("peel_ms", truss_stats.peel_ms);
   json.Add("max_trussness", static_cast<std::uint64_t>(truss.max_trussness));
   json.Add("edges", static_cast<std::uint64_t>(truss.num_edges()));
 }

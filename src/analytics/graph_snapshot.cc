@@ -1,13 +1,14 @@
 #include "analytics/graph_snapshot.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <unordered_map>
-#include <unordered_set>
+#include <thread>
 #include <utility>
 
 #include "cloud/memory_cloud.h"
 #include "common/histogram.h"
+#include "common/threadpool.h"
 #include "compute/packed_messages.h"
 #include "net/fabric.h"
 
@@ -70,46 +71,185 @@ Status GraphSnapshot::Validate() const {
 
 namespace {
 
-/// One frozen node capture: the vertex id plus its dedup undirected
-/// neighborhood, read in a single pinned cell visit.
-struct CapturedNode {
-  CellId id = kInvalidCell;
+/// One machine's frozen node captures, stored flat: node i is ids[i] with
+/// its dedup undirected neighbourhood neighbors[offsets[i]..offsets[i+1])
+/// (in first-seen order), read in a single pinned cell visit.
+struct MachineCapture {
+  std::vector<CellId> ids;
+  std::vector<std::uint64_t> offsets{0};
   std::vector<CellId> neighbors;
+
+  std::size_t size() const { return ids.size(); }
+  std::uint32_t Degree(std::size_t i) const {
+    return static_cast<std::uint32_t>(offsets[i + 1] - offsets[i]);
+  }
+  std::span<const CellId> Neighbors(std::size_t i) const {
+    return {neighbors.data() + offsets[i], Degree(i)};
+  }
+};
+
+/// Set of cell ids that dedups one node's in ∪ out lists: open addressing
+/// over a power-of-two table, emptied in O(1) by bumping a generation
+/// stamp. Sorting each neighbourhood to dedup it would spend most of the
+/// scan in branch misses, and the CSR phase sorts the surviving ranks
+/// anyway.
+class IdSet {
+ public:
+  /// Empties the set, sized for up to n insertions.
+  void Reset(std::size_t n) {
+    const std::size_t want = std::bit_ceil(2 * n + 2);
+    if (want > keys_.size()) {
+      keys_.assign(want, 0);
+      stamps_.assign(want, 0);
+      stamp_ = 0;
+      shift_ = 64 - std::countr_zero(want);
+    }
+    if (++stamp_ == 0) {  // Stamps wrapped: forget them all.
+      std::fill(stamps_.begin(), stamps_.end(), 0);
+      stamp_ = 1;
+    }
+  }
+
+  /// True when `id` was not in the set yet.
+  bool Insert(CellId id) {
+    std::size_t slot = (id * 0x9E3779B97F4A7C15ull) >> shift_;
+    while (stamps_[slot] == stamp_) {
+      if (keys_[slot] == id) return false;
+      slot = (slot + 1) & (keys_.size() - 1);
+    }
+    stamps_[slot] = stamp_;
+    keys_[slot] = id;
+    return true;
+  }
+
+ private:
+  std::vector<CellId> keys_;
+  std::vector<std::uint32_t> stamps_;  ///< Slot is live iff == stamp_.
+  std::uint32_t stamp_ = 0;
+  int shift_ = 64;
 };
 
 /// Scans machine m's trunks over the lock-free read path. Nodes that vanish
 /// mid-scan (concurrent remove) are skipped; each captured node is
 /// internally consistent because the visit pins the cell.
 Status ScanMachine(graph::Graph* graph, cloud::MemoryCloud* cloud,
-                   MachineId m, std::vector<CapturedNode>* out) {
+                   MachineId m, MachineCapture* out) {
   storage::MemoryStorage* store = cloud->storage(m);
   if (store == nullptr) return Status::OK();  // Dead slave: empty view.
-  std::vector<CellId> ids = graph->LocalNodes(m);
-  out->reserve(ids.size());
+  const std::vector<CellId> ids = graph->LocalNodes(m);
+  out->ids.reserve(ids.size());
+  out->offsets.reserve(ids.size() + 1);
+  std::vector<CellId>& nbrs = out->neighbors;
+  IdSet seen;
   for (CellId id : ids) {
-    CapturedNode node;
-    node.id = id;
+    const std::size_t start = nbrs.size();
     Status s = graph->VisitLocalNode(
         store, id,
-        [&node, id](Slice, const CellId* in, std::size_t in_count,
-                    const CellId* vout, std::size_t out_count) {
-          node.neighbors.reserve(in_count + out_count);
+        [&nbrs, &seen, id](Slice, const CellId* in, std::size_t in_count,
+                           const CellId* vout, std::size_t out_count) {
+          seen.Reset(in_count + out_count);
           for (std::size_t i = 0; i < in_count; ++i) {
-            if (in[i] != id) node.neighbors.push_back(in[i]);
+            if (in[i] != id && seen.Insert(in[i])) nbrs.push_back(in[i]);
           }
           for (std::size_t i = 0; i < out_count; ++i) {
-            if (vout[i] != id) node.neighbors.push_back(vout[i]);
+            if (vout[i] != id && seen.Insert(vout[i])) nbrs.push_back(vout[i]);
           }
-          std::sort(node.neighbors.begin(), node.neighbors.end());
-          node.neighbors.erase(
-              std::unique(node.neighbors.begin(), node.neighbors.end()),
-              node.neighbors.end());
         });
-    if (s.IsNotFound() || s.IsCorruption()) continue;
+    if (s.IsNotFound() || s.IsCorruption()) {
+      nbrs.resize(start);
+      continue;
+    }
     if (!s.ok()) return s;
-    out->push_back(std::move(node));
+    out->ids.push_back(id);
+    out->offsets.push_back(nbrs.size());
   }
   return Status::OK();
+}
+
+/// Cell id → rank over the broadcast rank table, flat: ids sorted ascending
+/// with a directory over (id - min) >> shift, so a lookup is one directory
+/// read plus a short search inside one bucket. Built once per Build; the
+/// table is identical on every machine, so every machine's CSR phase shares
+/// it read-only.
+class RankLookup {
+ public:
+  static constexpr std::uint32_t kNoRank = ~static_cast<std::uint32_t>(0);
+
+  /// `ids_by_rank[r]` is rank r's cell id; ids are distinct.
+  explicit RankLookup(const std::vector<CellId>& ids_by_rank) {
+    std::vector<std::pair<CellId, std::uint32_t>> sorted(ids_by_rank.size());
+    for (std::uint32_t r = 0; r < sorted.size(); ++r) {
+      sorted[r] = {ids_by_rank[r], r};
+    }
+    std::sort(sorted.begin(), sorted.end());
+    ids_.reserve(sorted.size());
+    ranks_.reserve(sorted.size());
+    for (const auto& [id, rank] : sorted) {
+      ids_.push_back(id);
+      ranks_.push_back(rank);
+    }
+    if (ids_.empty()) return;
+    min_ = ids_.front();
+    // About one id per bucket when ids spread evenly over [min, max].
+    const CellId span = ids_.back() - min_;
+    while ((span >> shift_) >= ids_.size()) ++shift_;
+    dir_.assign((span >> shift_) + 2, 0);
+    for (const CellId id : ids_) ++dir_[((id - min_) >> shift_) + 1];
+    for (std::size_t b = 1; b < dir_.size(); ++b) dir_[b] += dir_[b - 1];
+  }
+
+  std::uint32_t Find(CellId id) const {
+    if (ids_.empty() || id < min_ || id > ids_.back()) return kNoRank;
+    const CellId bucket = (id - min_) >> shift_;
+    const auto first = ids_.begin() + dir_[bucket];
+    const auto last = ids_.begin() + dir_[bucket + 1];
+    const auto it = std::lower_bound(first, last, id);
+    return it != last && *it == id ? ranks_[it - ids_.begin()] : kNoRank;
+  }
+
+ private:
+  std::vector<CellId> ids_;           ///< Ascending.
+  std::vector<std::uint32_t> ranks_;  ///< Aligned with ids_.
+  std::vector<std::uint32_t> dir_;    ///< Bucket → first index into ids_.
+  CellId min_ = 0;
+  int shift_ = 0;
+};
+
+/// Machine m's oriented CSR over the broadcast rank table.
+void MaterializeCsr(const MachineCapture& captured, const RankLookup& ranks,
+                    GraphSnapshot* view) {
+  // Keep only the captures the coordinator attributed to us (a duplicate
+  // claim keeps one owner so every rank has exactly one CSR row
+  // cluster-wide), in ascending rank order.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> rows;  // (rank, i)
+  rows.reserve(captured.size());
+  for (std::size_t i = 0; i < captured.size(); ++i) {
+    const std::uint32_t rank = ranks.Find(captured.ids[i]);
+    if (rank == RankLookup::kNoRank) continue;
+    if (view->owner_by_rank[rank] != view->machine) continue;
+    rows.emplace_back(rank, static_cast<std::uint32_t>(i));
+  }
+  std::sort(rows.begin(), rows.end());
+  view->local_index.assign(view->num_vertices(), GraphSnapshot::kNotLocal);
+  view->local_ranks.reserve(rows.size());
+  view->offsets.reserve(rows.size() + 1);
+  view->offsets.push_back(0);
+  for (const auto& [rank, i] : rows) {
+    const std::size_t start = view->adjacency.size();
+    for (CellId nb : captured.Neighbors(i)) {
+      // Neighbors with no rank were never captured (e.g. a dangling edge
+      // or a node added after the freeze) — the frozen view drops them.
+      // Ids are distinct, so the kept ranks are too.
+      const std::uint32_t r = ranks.Find(nb);
+      if (r < rank) view->adjacency.push_back(r);
+    }
+    std::sort(view->adjacency.begin() + static_cast<std::ptrdiff_t>(start),
+              view->adjacency.end());
+    view->local_index[rank] =
+        static_cast<std::uint32_t>(view->local_ranks.size());
+    view->local_ranks.push_back(rank);
+    view->offsets.push_back(view->adjacency.size());
+  }
 }
 
 struct DegreeRecord {
@@ -135,11 +275,20 @@ Status SnapshotBuilder::Build(graph::Graph* graph,
   BuildStats local_stats;
   Stopwatch watch;
 
+  // Every machine scans its own trunks and later materializes its own CSR,
+  // all at once; a per-call pool keeps no threads (or their malloc arenas)
+  // alive between builds.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  ThreadPool pool(std::max(1, std::min(hw, slaves)));
+  std::vector<Status> machine_status(slaves);
+
   // Phase 1: frozen per-machine scans (lock-free read path).
-  std::vector<std::vector<CapturedNode>> captured(slaves);
-  for (MachineId m = 0; m < slaves; ++m) {
+  std::vector<MachineCapture> captured(slaves);
+  pool.ParallelFor(slaves, [&](int m) {
     net::Fabric::MeterScope meter(fabric, m);
-    Status s = ScanMachine(graph, cloud, m, &captured[m]);
+    machine_status[m] = ScanMachine(graph, cloud, m, &captured[m]);
+  });
+  for (const Status& s : machine_status) {
     if (!s.ok()) return s;
   }
   local_stats.scan_ms = watch.ElapsedMillis();
@@ -168,19 +317,20 @@ Status SnapshotBuilder::Build(graph::Graph* graph,
         });
       });
   for (MachineId m = 0; m < slaves; ++m) {
-    if (captured[m].empty()) continue;
+    const MachineCapture& capture = captured[m];
+    if (capture.size() == 0) continue;
     if (m == coord) {
-      for (const CapturedNode& node : captured[m]) {
-        merged.push_back(
-            {node.id, static_cast<std::uint32_t>(node.neighbors.size()), m});
+      for (std::size_t i = 0; i < capture.size(); ++i) {
+        merged.push_back({capture.ids[i], capture.Degree(i), m});
       }
       continue;
     }
     std::string buf;
-    for (const CapturedNode& node : captured[m]) {
-      const auto degree = static_cast<std::uint32_t>(node.neighbors.size());
+    for (std::size_t i = 0; i < capture.size(); ++i) {
+      const std::uint32_t degree = capture.Degree(i);
       compute::AppendPackedRecord(
-          &buf, node.id, Slice(reinterpret_cast<const char*>(&degree), 4));
+          &buf, capture.ids[i],
+          Slice(reinterpret_cast<const char*>(&degree), 4));
     }
     Status s = fabric.SendPacked(m, coord, run.handler, Slice(buf),
                                  captured[m].size(), &run.ctx);
@@ -258,51 +408,11 @@ Status SnapshotBuilder::Build(graph::Graph* graph,
 
   // Phase 3: per-machine oriented CSR materialization.
   watch.Reset();
-  for (MachineId m = 0; m < slaves; ++m) {
+  const RankLookup ranks((*views)[coord].id_by_rank);
+  pool.ParallelFor(slaves, [&](int m) {
     net::Fabric::MeterScope meter(fabric, m);
-    GraphSnapshot& view = (*views)[m];
-    const std::uint32_t n = view.num_vertices();
-    std::unordered_map<CellId, std::uint32_t> rank_of_id;
-    rank_of_id.reserve(n);
-    for (std::uint32_t r = 0; r < n; ++r) {
-      rank_of_id.emplace(view.id_by_rank[r], r);
-    }
-    // Keep only the captures the coordinator attributed to us (a duplicate
-    // claim keeps one owner so every rank has exactly one CSR row
-    // cluster-wide), in ascending rank order.
-    std::vector<std::pair<std::uint32_t, const CapturedNode*>> rows;
-    rows.reserve(captured[m].size());
-    for (const CapturedNode& node : captured[m]) {
-      auto it = rank_of_id.find(node.id);
-      if (it == rank_of_id.end()) continue;
-      if (view.owner_by_rank[it->second] != m) continue;
-      rows.emplace_back(it->second, &node);
-    }
-    std::sort(rows.begin(), rows.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    view.local_index.assign(n, GraphSnapshot::kNotLocal);
-    view.local_ranks.reserve(rows.size());
-    view.offsets.reserve(rows.size() + 1);
-    view.offsets.push_back(0);
-    std::vector<std::uint32_t> list;
-    for (const auto& [rank, node] : rows) {
-      list.clear();
-      for (CellId nb : node->neighbors) {
-        auto it = rank_of_id.find(nb);
-        // Neighbors with no rank were never captured (e.g. a dangling edge
-        // or a node added after the freeze) — the frozen view drops them.
-        if (it == rank_of_id.end()) continue;
-        if (it->second < rank) list.push_back(it->second);
-      }
-      std::sort(list.begin(), list.end());
-      list.erase(std::unique(list.begin(), list.end()), list.end());
-      view.local_index[rank] =
-          static_cast<std::uint32_t>(view.local_ranks.size());
-      view.local_ranks.push_back(rank);
-      view.adjacency.insert(view.adjacency.end(), list.begin(), list.end());
-      view.offsets.push_back(view.adjacency.size());
-    }
-  }
+    MaterializeCsr(captured[m], ranks, &(*views)[m]);
+  });
   local_stats.csr_ms = watch.ElapsedMillis();
   if (stats != nullptr) *stats = local_stats;
   return Status::OK();

@@ -7,85 +7,23 @@
 
 namespace trinity::analytics {
 
+namespace {
+
+/// The counting forms discard positions.
+constexpr auto kNoHitAction = [](std::size_t, std::size_t) {};
+
+}  // namespace
+
 std::uint64_t IntersectMerge(const std::uint32_t* a, std::size_t na,
                              const std::uint32_t* b, std::size_t nb,
                              std::uint64_t* comparisons) {
-  std::uint64_t hits = 0;
-  std::size_t i = 0, j = 0;
-  std::uint64_t steps = 0;
-  while (i < na && j < nb) {
-    ++steps;
-    const std::uint32_t x = a[i];
-    const std::uint32_t y = b[j];
-    if (x == y) {
-      ++hits;
-      ++i;
-      ++j;
-    } else if (x < y) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  *comparisons += steps;
-  return hits;
+  return IntersectMergeEach(a, na, b, nb, comparisons, kNoHitAction);
 }
-
-namespace {
-
-/// First index in [lo, hi) with list[index] >= key; galloping's binary-search
-/// tail. Steps are charged by the caller.
-std::size_t LowerBound(const std::uint32_t* list, std::size_t lo,
-                       std::size_t hi, std::uint32_t key,
-                       std::uint64_t* steps) {
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    ++*steps;
-    if (list[mid] < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-}  // namespace
 
 std::uint64_t IntersectGalloping(const std::uint32_t* a, std::size_t na,
                                  const std::uint32_t* b, std::size_t nb,
                                  std::uint64_t* comparisons) {
-  // Gallop the smaller list through the larger one.
-  if (na > nb) {
-    const std::uint32_t* t = a;
-    a = b;
-    b = t;
-    const std::size_t tn = na;
-    na = nb;
-    nb = tn;
-  }
-  std::uint64_t hits = 0;
-  std::uint64_t steps = 0;
-  std::size_t pos = 0;  // Search frontier in b; both lists ascend.
-  for (std::size_t i = 0; i < na && pos < nb; ++i) {
-    const std::uint32_t key = a[i];
-    // Exponential probe from the frontier...
-    std::size_t bound = 1;
-    while (pos + bound < nb && b[pos + bound] < key) {
-      ++steps;
-      bound <<= 1;
-    }
-    ++steps;
-    // ...then binary search inside the bracketed window.
-    const std::size_t hi = pos + bound < nb ? pos + bound + 1 : nb;
-    pos = LowerBound(b, pos, hi, key, &steps);
-    if (pos < nb && b[pos] == key) {
-      ++hits;
-      ++pos;
-    }
-  }
-  *comparisons += steps;
-  return hits;
+  return IntersectGallopingEach(a, na, b, nb, comparisons, kNoHitAction);
 }
 
 std::uint64_t IntersectBitmapProbe(const std::uint32_t* list, std::size_t n,

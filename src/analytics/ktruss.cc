@@ -1,97 +1,84 @@
 #include "analytics/ktruss.h"
 
 #include <algorithm>
-#include <utility>
+#include <numeric>
+
+#include "analytics/intersect.h"
+#include "analytics/triangles.h"
+#include "common/histogram.h"
 
 namespace trinity::analytics {
 
 std::uint32_t KTrussResult::TrussnessOf(std::uint32_t a,
                                         std::uint32_t b) const {
-  for (std::size_t e = 0; e < trussness.size(); ++e) {
-    if ((src[e] == a && dst[e] == b) || (src[e] == b && dst[e] == a)) {
-      return trussness[e];
-    }
-  }
-  return 0;
+  // Edges are in CSR order: src ascending, then dst ascending, dst < src.
+  const auto [first, last] =
+      std::equal_range(src.begin(), src.end(), std::max(a, b));
+  const auto end = dst.begin() + (last - src.begin());
+  const auto it = std::lower_bound(dst.begin() + (first - src.begin()), end,
+                                   std::min(a, b));
+  return it == end || *it != std::min(a, b) ? 0 : trussness[it - dst.begin()];
 }
 
-namespace {
-
-/// (neighbor rank, edge id), sorted by neighbor — the full undirected
-/// adjacency the peel walks to find an edge's surviving triangles.
-using AdjEntry = std::pair<std::uint32_t, std::uint32_t>;
-
-const AdjEntry* FindNeighbor(const std::vector<AdjEntry>& adj,
-                             std::uint32_t rank) {
-  auto it = std::lower_bound(
-      adj.begin(), adj.end(), rank,
-      [](const AdjEntry& e, std::uint32_t r) { return e.first < r; });
-  if (it == adj.end() || it->first != rank) return nullptr;
-  return &*it;
-}
-
-}  // namespace
-
-Status KTrussDecompose(const GraphSnapshot& snapshot, KTrussResult* out) {
+Status KTrussDecompose(const GraphSnapshot& snapshot, KTrussResult* out,
+                       KTrussStats* stats) {
   *out = KTrussResult();
+  KTrussStats unused;
+  if (stats == nullptr) stats = &unused;
+  *stats = KTrussStats();
+
+  // Initial supports from the triangle counter's oriented enumeration, which
+  // also rejects a per-machine view; every triangle supports 3 edges.
+  Stopwatch watch;
+  std::vector<std::uint32_t> support;
   Status s = snapshot.Validate();
+  if (s.ok()) s = CountEdgeSupport(snapshot, TriangleOptions(), &support);
   if (!s.ok()) return s;
-  if (snapshot.num_local() != snapshot.num_vertices()) {
-    return Status::InvalidArgument(
-        "k-truss needs a full snapshot (BuildGlobal), not a per-machine view");
-  }
+  out->triangles =
+      std::accumulate(support.begin(), support.end(), std::uint64_t{0}) / 3;
+  stats->support_ms = watch.ElapsedMillis();
   const std::uint32_t n = snapshot.num_vertices();
   const std::size_t m = snapshot.adjacency.size();
   out->src.resize(m);
-  out->dst.resize(m);
+  out->dst = snapshot.adjacency;
   out->trussness.assign(m, 2);
   if (m == 0) return Status::OK();
 
-  // Undirected adjacency with edge ids: edge e = (v, u) contributes
-  // (u, e) under v and (v, e) under u.
-  std::vector<std::vector<AdjEntry>> adj(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t v = snapshot.local_ranks[i];
-    const std::span<const std::uint32_t> list = snapshot.List(i);
-    for (std::size_t j = 0; j < list.size(); ++j) {
-      const auto e = static_cast<std::uint32_t>(snapshot.offsets[i] + j);
+  // Flat undirected CSR with edge ids, filled by a counting pass and no
+  // sort: owners v go in ascending order, so each row gets its oriented
+  // list (lower neighbours, ascending) and then the higher owners naming it.
+  // live[v] counts v's alive edges (it picks the endpoint to scan); end[v]
+  // bounds v's filled row, whose dead entries are dropped lazily.
+  watch.Reset();
+  std::vector<std::uint64_t> row(n + 1, 0);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    row[v + 1] += snapshot.List(v).size();
+    for (const std::uint32_t u : snapshot.List(v)) ++row[u + 1];
+  }
+  std::vector<std::uint32_t> live(row.begin() + 1, row.end());
+  std::partial_sum(row.begin(), row.end(), row.begin());
+  std::vector<std::uint64_t> end(row.begin(), row.end() - 1);
+  std::vector<std::uint32_t> nbr(2 * m);
+  std::vector<std::uint32_t> eid(2 * m);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    for (auto e = static_cast<std::uint32_t>(snapshot.offsets[v]);
+         e < snapshot.offsets[v + 1]; ++e) {
+      const std::uint32_t u = snapshot.adjacency[e];
       out->src[e] = v;
-      out->dst[e] = list[j];
-      adj[v].emplace_back(list[j], e);
-      adj[list[j]].emplace_back(v, e);
+      nbr[end[v]] = u;
+      eid[end[v]++] = e;
+      nbr[end[u]] = v;
+      eid[end[u]++] = e;
     }
   }
-  for (std::vector<AdjEntry>& a : adj) std::sort(a.begin(), a.end());
-
-  // Initial supports: |N(src) ∩ N(dst)| over the full neighborhoods.
-  std::vector<std::uint32_t> support(m, 0);
-  for (std::uint32_t e = 0; e < m; ++e) {
-    const std::vector<AdjEntry>& a = adj[out->src[e]];
-    const std::vector<AdjEntry>& b = adj[out->dst[e]];
-    std::size_t ia = 0;
-    std::size_t ib = 0;
-    while (ia < a.size() && ib < b.size()) {
-      if (a[ia].first == b[ib].first) {
-        ++support[e];
-        ++ia;
-        ++ib;
-      } else if (a[ia].first < b[ib].first) {
-        ++ia;
-      } else {
-        ++ib;
-      }
-    }
-  }
-  std::uint64_t support_sum = 0;
-  for (std::uint32_t x : support) support_sum += x;
-  out->triangles = support_sum / 3;  // Every triangle supports 3 edges.
+  stats->adjacency_ms = watch.ElapsedMillis();
 
   // Bucket queue over supports (k-core style): edges sorted by support,
   // position[] locating each edge, bucket_start[] the first slot of each
   // support value. A decrement swaps the edge to the front of its bucket and
   // shifts the bucket boundary — O(1) per support change.
-  const std::uint32_t max_support =
-      *std::max_element(support.begin(), support.end());
+  watch.Reset();
+  const std::uint32_t max_support = std::ranges::max(support);
   std::vector<std::uint32_t> bucket_start(max_support + 2, 0);
   for (std::uint32_t x : support) ++bucket_start[x + 1];
   for (std::uint32_t i = 1; i < bucket_start.size(); ++i) {
@@ -99,13 +86,11 @@ Status KTrussDecompose(const GraphSnapshot& snapshot, KTrussResult* out) {
   }
   std::vector<std::uint32_t> order(m);
   std::vector<std::uint32_t> position(m);
-  {
-    std::vector<std::uint32_t> cursor(bucket_start.begin(),
-                                      bucket_start.end() - 1);
-    for (std::uint32_t e = 0; e < m; ++e) {
-      position[e] = cursor[support[e]]++;
-      order[position[e]] = e;
-    }
+  std::vector<std::uint32_t> cursor(bucket_start.begin(),
+                                    bucket_start.end() - 1);
+  for (std::uint32_t e = 0; e < m; ++e) {
+    position[e] = cursor[support[e]]++;
+    order[position[e]] = e;
   }
 
   // Batagelj–Zaversnik peel lifted to edges. The guard support[f] >
@@ -129,28 +114,42 @@ Status KTrussDecompose(const GraphSnapshot& snapshot, KTrussResult* out) {
     --support[f];
   };
 
+  const double skew = TriangleOptions().gallop_skew;
+  std::uint64_t comparisons = 0;
   for (std::uint32_t idx = 0; idx < m; ++idx) {
     const std::uint32_t e = order[idx];
     alive[e] = 0;
-    out->trussness[e] = support[e] + 2;
-    const std::uint32_t u = out->src[e];
-    const std::uint32_t v = out->dst[e];
-    const std::vector<AdjEntry>& small =
-        adj[u].size() <= adj[v].size() ? adj[u] : adj[v];
-    const std::uint32_t other_end = adj[u].size() <= adj[v].size() ? v : u;
-    for (const AdjEntry& we : small) {
-      if (!alive[we.second]) continue;
-      const AdjEntry* back = FindNeighbor(adj[other_end], we.first);
-      if (back == nullptr || !alive[back->second]) continue;
-      // Triangle {u, v, w} was still closed: both surviving edges lose the
-      // support e provided, clamped at the current peel level.
-      if (support[we.second] > support[e]) decrement(we.second);
-      if (support[back->second] > support[e]) decrement(back->second);
+    const std::uint32_t level = support[e];
+    out->trussness[e] = level + 2;
+    std::uint32_t x = out->src[e];
+    std::uint32_t y = out->dst[e];
+    --live[x];
+    --live[y];
+    // Scan the endpoint x with the shorter live list, compacting its dead
+    // entries (e among them). y's row — often a hub's — is only searched.
+    if (live[y] < live[x]) std::swap(x, y);
+    std::uint64_t kept = row[x];
+    for (std::uint64_t p = row[x]; p < end[x]; ++p) {
+      if (!alive[eid[p]]) continue;
+      nbr[kept] = nbr[p];
+      eid[kept++] = eid[p];
     }
+    end[x] = kept;
+    const std::uint32_t* xe = eid.data() + row[x];
+    const std::uint32_t* ye = eid.data() + row[y];
+    IntersectEach(nbr.data() + row[x], end[x] - row[x], nbr.data() + row[y],
+                  end[y] - row[y], skew, &comparisons,
+                  [&](std::size_t p, std::size_t q) {
+                    // Triangle {x, y, w} still closed: both surviving edges
+                    // lose e's support, clamped at the current peel level.
+                    if (!alive[ye[q]]) return;
+                    if (support[xe[p]] > level) decrement(xe[p]);
+                    if (support[ye[q]] > level) decrement(ye[q]);
+                  });
   }
+  stats->peel_ms = watch.ElapsedMillis();
 
-  out->max_trussness =
-      *std::max_element(out->trussness.begin(), out->trussness.end());
+  out->max_trussness = std::ranges::max(out->trussness);
   return Status::OK();
 }
 

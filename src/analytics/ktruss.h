@@ -29,14 +29,22 @@ struct KTrussResult {
   std::uint32_t TrussnessOf(std::uint32_t a, std::uint32_t b) const;
 };
 
+/// Wall-clock phase split of one decomposition.
+struct KTrussStats {
+  double adjacency_ms = 0;  ///< Flat undirected CSR with edge ids.
+  double support_ms = 0;    ///< Validate + CountEdgeSupport.
+  double peel_ms = 0;       ///< Bucket queue + peel.
+};
+
 /// Iterative support peeling with a bucket queue (the standard k-core-style
 /// decomposition lifted to edges): initialize each edge's support to its
 /// triangle count, then repeatedly peel the minimum-support edge — its
 /// trussness is support + 2 — decrementing the supports of the two partner
 /// edges of every triangle it still closes. Runs on a full snapshot
 /// (SnapshotBuilder::BuildGlobal); returns InvalidArgument for a partial
-/// per-machine view.
-Status KTrussDecompose(const GraphSnapshot& snapshot, KTrussResult* out);
+/// per-machine view. `stats` (optional) receives the phase split.
+Status KTrussDecompose(const GraphSnapshot& snapshot, KTrussResult* out,
+                       KTrussStats* stats = nullptr);
 
 }  // namespace trinity::analytics
 

@@ -1,6 +1,7 @@
 #include "analytics/triangles.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <thread>
@@ -184,6 +185,56 @@ std::uint64_t CountPair(const TriangleOptions& options, const HubBitmaps& bm,
                 IntersectMerge(prefix, na, b, nb, &stats->merge.comparisons));
 }
 
+/// Cost-weighted shards over one view's local vertices. The cost of vertex
+/// v is its exact pair work Σ (1 + min(j, |A+(u)|)) — what keeps power-law
+/// hubs from serializing one pool worker.
+std::vector<ThreadPool::Shard> PairCostShards(const ListResolver& resolver,
+                                              ThreadPool* pool) {
+  const GraphSnapshot& view = *resolver.view;
+  const auto num_local = static_cast<int>(view.num_local());
+  std::vector<double> costs(num_local);
+  for (int i = 0; i < num_local; ++i) {
+    const std::span<const std::uint32_t> list =
+        view.List(static_cast<std::size_t>(i));
+    double c = 1.0;
+    for (std::uint32_t j = 0; j < list.size(); ++j) {
+      std::uint32_t nb = 0;
+      resolver.ListOf(list[j], &nb);
+      c += 1.0 + std::min<double>(j, nb);
+    }
+    costs[i] = c;
+  }
+  return ThreadPool::SplitWeighted(
+      num_local, [&costs](int i) { return costs[i]; },
+      pool->num_threads() * 4);
+}
+
+/// The oriented enumeration that counting and per-edge support share: for
+/// every local v and every u = A+(v)[j] with j > 0 and A+(u) non-empty,
+/// pair_fn(shard, v, u, prefix, j, A+(u), |A+(u)|) where the prefix is
+/// A+(v)[0..j) — every common element is < u, so the prefix is the whole
+/// v-side input and a match at prefix position p is edge offsets[v] + p.
+template <typename PairFn>
+void ForEachOrientedPair(const ListResolver& resolver, ThreadPool* pool,
+                         const std::vector<ThreadPool::Shard>& shards,
+                         const PairFn& pair_fn) {
+  const GraphSnapshot& view = *resolver.view;
+  pool->ParallelForShards(shards, [&](int shard, int begin, int end) {
+    for (int i = begin; i < end; ++i) {
+      const std::uint32_t v = view.local_ranks[i];
+      const std::span<const std::uint32_t> list =
+          view.List(static_cast<std::size_t>(i));
+      for (std::uint32_t j = 1; j < list.size(); ++j) {
+        const std::uint32_t u = list[j];
+        std::uint32_t nb = 0;
+        const std::uint32_t* b = resolver.ListOf(u, &nb);
+        if (nb == 0) continue;
+        pair_fn(shard, v, u, list.data(), j, b, nb);
+      }
+    }
+  });
+}
+
 /// Counts one machine's share: every (v, u ∈ A+(v)) pair with v local.
 /// Dispatches the vertex loop in cost-weighted shards; each shard
 /// accumulates into its own TriangleStats, merged after the barrier.
@@ -229,59 +280,33 @@ void CountView(const TriangleOptions& options, ThreadPool* pool,
     }
   }
 
-  // Cost model per local vertex: the exact pair work Σ (1 + min(j, |A+(u)|))
-  // — what keeps power-law hubs from serializing one pool worker.
-  std::vector<double> costs(num_local);
-  for (int i = 0; i < num_local; ++i) {
-    const std::span<const std::uint32_t> list =
-        view.List(static_cast<std::size_t>(i));
-    double c = 1.0;
-    for (std::uint32_t j = 0; j < list.size(); ++j) {
-      std::uint32_t nb = 0;
-      resolver.ListOf(list[j], &nb);
-      c += 1.0 + std::min<double>(j, nb);
-    }
-    costs[i] = c;
-  }
-  const std::vector<ThreadPool::Shard> shards = ThreadPool::SplitWeighted(
-      num_local, [&costs](int i) { return costs[i]; },
-      pool->num_threads() * 4);
-
+  const std::vector<ThreadPool::Shard> shards = PairCostShards(resolver, pool);
   std::vector<TriangleStats> shard_stats(shards.size());
-  pool->ParallelForShards(shards, [&](int shard, int begin, int end) {
-    TriangleStats& local = shard_stats[shard];
-    for (int i = begin; i < end; ++i) {
-      const std::uint32_t v = view.local_ranks[i];
-      const std::span<const std::uint32_t> list =
-          view.List(static_cast<std::size_t>(i));
-      for (std::uint32_t j = 0; j < list.size(); ++j) {
-        const std::uint32_t u = list[j];
-        if (j == 0) continue;  // Empty prefix: no triangle through this pair.
-        std::uint32_t nb = 0;
-        const std::uint32_t* b = resolver.ListOf(u, &nb);
-        if (nb == 0) continue;
-        local.triangles += CountPair(options, bm, v, u, list.data(), j, b, nb,
-                                     &local);
-      }
-    }
-  });
+  ForEachOrientedPair(
+      resolver, pool, shards,
+      [&](int shard, std::uint32_t v, std::uint32_t u, const std::uint32_t* a,
+          std::uint32_t na, const std::uint32_t* b, std::uint32_t nb) {
+        TriangleStats& local = shard_stats[shard];
+        local.triangles += CountPair(options, bm, v, u, a, na, b, nb, &local);
+      });
   for (const TriangleStats& s : shard_stats) {
     // Bitmap build work was already recorded once outside the shards.
     stats->Merge(s);
   }
 }
 
+/// Dispatch pool with `num_threads` workers (0 = hardware concurrency).
+std::unique_ptr<ThreadPool> MakePool(int num_threads) {
+  if (num_threads <= 0) {
+    num_threads = static_cast<int>(std::thread::hardware_concurrency());
+  }
+  return std::make_unique<ThreadPool>(std::max(num_threads, 1));
+}
+
 }  // namespace
 
 TriangleCounter::TriangleCounter(graph::Graph* graph, TriangleOptions options)
-    : graph_(graph), options_(options) {
-  int threads = options_.num_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads < 1) threads = 1;
-  pool_ = std::make_unique<ThreadPool>(threads);
-}
+    : graph_(graph), options_(options), pool_(MakePool(options.num_threads)) {}
 
 TriangleCounter::TriangleCounter(graph::Graph* graph)
     : TriangleCounter(graph, TriangleOptions()) {}
@@ -405,6 +430,46 @@ Status TriangleCounter::CountLocal(const GraphSnapshot& snapshot,
   Stopwatch watch;
   CountView(options_, pool_.get(), resolver, out);
   out->count_ms = watch.ElapsedMillis();
+  return Status::OK();
+}
+
+Status CountEdgeSupport(const GraphSnapshot& snapshot,
+                        const TriangleOptions& options,
+                        std::vector<std::uint32_t>* support) {
+  if (snapshot.num_local() != snapshot.num_vertices()) {
+    return Status::InvalidArgument(
+        "edge support needs a full snapshot (BuildGlobal)");
+  }
+  support->assign(snapshot.adjacency.size(), 0);
+  ListResolver resolver;
+  resolver.view = &snapshot;
+  const std::unique_ptr<ThreadPool> pool = MakePool(options.num_threads);
+  const double skew = options.gallop_skew;
+  const std::uint64_t* offsets = snapshot.offsets.data();
+  std::uint32_t* sup = support->data();
+  // Rows are shared between shards (e_uw lands in u's row, which another
+  // shard owns), so every bump is a relaxed atomic add.
+  const auto bump = [sup](std::uint64_t e, std::uint32_t by) {
+    std::atomic_ref<std::uint32_t>(sup[e]).fetch_add(
+        by, std::memory_order_relaxed);
+  };
+  ForEachOrientedPair(
+      resolver, pool.get(), PairCostShards(resolver, pool.get()),
+      [&](int, std::uint32_t v, std::uint32_t u, const std::uint32_t* a,
+          std::uint32_t na, const std::uint32_t* b, std::uint32_t nb) {
+        // Full snapshot: rank == local index, so offsets[rank] is the row.
+        const std::uint64_t row_v = offsets[v];
+        const std::uint64_t row_u = offsets[u];
+        std::uint64_t comparisons = 0;
+        const std::uint64_t hits = IntersectEach(
+            a, na, b, nb, skew, &comparisons,
+            [&](std::size_t p, std::size_t q) {
+              bump(row_v + p, 1);  // e_vw
+              bump(row_u + q, 1);  // e_uw
+            });
+        // e_vu sits at prefix length j = na in v's row.
+        if (hits > 0) bump(row_v + na, static_cast<std::uint32_t>(hits));
+      });
   return Status::OK();
 }
 

@@ -115,6 +115,18 @@ class TriangleCounter {
   std::unique_ptr<ThreadPool> pool_;
 };
 
+/// Per-edge triangle support on a full snapshot (SnapshotBuilder::
+/// BuildGlobal): (*support)[e] is the number of triangles through oriented
+/// edge e, whose id is its CSR slot. Runs CountLocal's oriented enumeration
+/// with the same cost-weighted shards on a pool of `options.num_threads`,
+/// over the position-emitting list kernels (merge, or galloping past
+/// `options.gallop_skew`; `options.kernel` is not consulted): each triangle
+/// is found once at its highest-rank corner v and bumps its three edges
+/// e_vu, e_vw and e_uw. Returns InvalidArgument for a per-machine view.
+Status CountEdgeSupport(const GraphSnapshot& snapshot,
+                        const TriangleOptions& options,
+                        std::vector<std::uint32_t>* support);
+
 /// Cell-at-a-time correctness anchor: fetches every node cell through the
 /// cloud (hashing + routing + accessor pinning per probe) and counts by
 /// id-ordered neighborhood intersection — an implementation independent of

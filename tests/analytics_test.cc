@@ -91,6 +91,53 @@ TEST(IntersectTest, GallopingBeatsMergeOnSkew) {
   EXPECT_LT(gallop_cmp * 10, merge_cmp);
 }
 
+TEST(IntersectTest, PositionKernelsReportEveryMatchSlot) {
+  // The position-emitting kernels must name each match's slot in both lists
+  // (in the caller's argument order, whichever side galloping probes from)
+  // and charge exactly the work of their counting forms.
+  std::mt19937_64 rng(21);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::set<std::uint32_t> sa;
+    std::set<std::uint32_t> sb;
+    const std::size_t na = rng() % 40;
+    const std::size_t nb = rng() % 300;
+    while (sa.size() < na) sa.insert(static_cast<std::uint32_t>(rng() % 512));
+    while (sb.size() < nb) sb.insert(static_cast<std::uint32_t>(rng() % 512));
+    std::vector<std::uint32_t> a(sa.begin(), sa.end());
+    std::vector<std::uint32_t> b(sb.begin(), sb.end());
+    if (trial % 2 == 1) std::swap(a, b);  // Longer list first, too.
+    std::vector<std::pair<std::size_t, std::size_t>> expect;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const auto it = std::lower_bound(b.begin(), b.end(), a[i]);
+      if (it != b.end() && *it == a[i]) expect.emplace_back(i, it - b.begin());
+    }
+    std::uint64_t merge_cmp = 0;
+    std::uint64_t gallop_cmp = 0;
+    std::uint64_t count_cmp = 0;
+    std::vector<std::pair<std::size_t, std::size_t>> merged;
+    std::vector<std::pair<std::size_t, std::size_t>> galloped;
+    EXPECT_EQ(IntersectMergeEach(a.data(), a.size(), b.data(), b.size(),
+                                 &merge_cmp,
+                                 [&](std::size_t i, std::size_t j) {
+                                   merged.emplace_back(i, j);
+                                 }),
+              expect.size());
+    EXPECT_EQ(IntersectGallopingEach(a.data(), a.size(), b.data(), b.size(),
+                                     &gallop_cmp,
+                                     [&](std::size_t i, std::size_t j) {
+                                       galloped.emplace_back(i, j);
+                                     }),
+              expect.size());
+    EXPECT_EQ(merged, expect);
+    EXPECT_EQ(galloped, expect);
+    IntersectMerge(a.data(), a.size(), b.data(), b.size(), &count_cmp);
+    EXPECT_EQ(merge_cmp, count_cmp);
+    count_cmp = 0;
+    IntersectGalloping(a.data(), a.size(), b.data(), b.size(), &count_cmp);
+    EXPECT_EQ(gallop_cmp, count_cmp);
+  }
+}
+
 TEST(IntersectTest, DispatchedPopcountMatchesScalar) {
   // Whatever body IntersectBitmapWords picked at startup (AVX2 when the CPU
   // has it) must agree with the scalar reference on every width incl. tails.
@@ -216,6 +263,57 @@ TEST(GraphSnapshotTest, ImmutableUnderConcurrentWriters) {
   std::uint64_t naive = 0;
   ASSERT_TRUE(CountTrianglesNaive(&graph, &naive).ok());
   EXPECT_EQ(stats.triangles, naive);
+}
+
+TEST(GraphSnapshotTest, ParallelBuildIsDeterministic) {
+  // Machines scan and materialize in parallel; the views, the exchange
+  // traffic and the global gather must not depend on the interleaving.
+  auto cloud = NewCloud(8);
+  graph::Graph graph(cloud.get());
+  ASSERT_TRUE(graph::Generators::Load(
+                  &graph, graph::Generators::PowerLaw(1500, 8.0, 2.0, 17),
+                  false)
+                  .ok());
+  std::vector<GraphSnapshot> first;
+  SnapshotBuilder::BuildStats first_stats;
+  ASSERT_TRUE(SnapshotBuilder::Build(&graph, &first, &first_stats).ok());
+  ASSERT_EQ(first.size(), 8u);
+  EXPECT_GT(first_stats.exchange_messages, 0u);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<GraphSnapshot> views;
+    SnapshotBuilder::BuildStats stats;
+    ASSERT_TRUE(SnapshotBuilder::Build(&graph, &views, &stats).ok());
+    ASSERT_EQ(views.size(), first.size());
+    for (std::size_t m = 0; m < views.size(); ++m) {
+      ASSERT_TRUE(views[m].Validate().ok());
+      EXPECT_EQ(views[m].id_by_rank, first[m].id_by_rank) << "m=" << m;
+      EXPECT_EQ(views[m].owner_by_rank, first[m].owner_by_rank) << "m=" << m;
+      EXPECT_EQ(views[m].local_ranks, first[m].local_ranks) << "m=" << m;
+      EXPECT_EQ(views[m].offsets, first[m].offsets) << "m=" << m;
+      EXPECT_EQ(views[m].adjacency, first[m].adjacency) << "m=" << m;
+    }
+    EXPECT_EQ(stats.exchange_messages, first_stats.exchange_messages);
+    EXPECT_EQ(stats.exchange_bytes, first_stats.exchange_bytes);
+  }
+
+  // BuildGlobal's rows are exactly the per-machine rows.
+  GraphSnapshot global;
+  ASSERT_TRUE(SnapshotBuilder::BuildGlobal(&graph, &global).ok());
+  ASSERT_TRUE(global.Validate().ok());
+  ASSERT_EQ(global.id_by_rank, first[0].id_by_rank);
+  std::size_t rows = 0;
+  for (const GraphSnapshot& view : first) {
+    for (std::size_t i = 0; i < view.num_local(); ++i) {
+      const std::span<const std::uint32_t> local = view.List(i);
+      const std::span<const std::uint32_t> gathered =
+          global.List(view.local_ranks[i]);
+      EXPECT_TRUE(std::equal(local.begin(), local.end(), gathered.begin(),
+                             gathered.end()))
+          << "rank " << view.local_ranks[i];
+      ++rows;
+    }
+  }
+  EXPECT_EQ(rows, global.num_vertices());
 }
 
 // ---------------------------------------------------------------------------
@@ -427,34 +525,95 @@ TEST(KTrussTest, KnownSmallGraphs) {
 }
 
 TEST(KTrussTest, MatchesBruteForceReference) {
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    auto cloud = NewCloud(2);
-    graph::Graph graph(cloud.get());
-    graph::Generators::EdgeList list = graph::Generators::Rmat(40, 3.0, seed);
-    ASSERT_TRUE(graph::Generators::Load(&graph, list, false).ok());
-    GraphSnapshot snapshot;
-    ASSERT_TRUE(SnapshotBuilder::BuildGlobal(&graph, &snapshot).ok());
-    KTrussResult result;
-    ASSERT_TRUE(KTrussDecompose(snapshot, &result).ok());
+  for (const bool powerlaw : {false, true}) {
+    for (const int machines : {1, 8}) {
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (powerlaw ? "powerlaw" : "rmat") << " machines="
+                     << machines << " seed=" << seed);
+        auto cloud = NewCloud(machines);
+        graph::Graph graph(cloud.get());
+        const graph::Generators::EdgeList list =
+            powerlaw ? graph::Generators::PowerLaw(40, 4.0, 2.0, seed)
+                     : graph::Generators::Rmat(40, 3.0, seed);
+        ASSERT_TRUE(graph::Generators::Load(&graph, list, false).ok());
+        GraphSnapshot snapshot;
+        ASSERT_TRUE(SnapshotBuilder::BuildGlobal(&graph, &snapshot).ok());
+        KTrussResult result;
+        ASSERT_TRUE(KTrussDecompose(snapshot, &result).ok());
 
-    // Reference works on ranks so the edge keys line up.
-    std::map<CellId, std::uint32_t> rank_of;
-    for (std::uint32_t r = 0; r < snapshot.num_vertices(); ++r) {
-      rank_of[snapshot.id_by_rank[r]] = r;
+        // Reference works on ranks so the edge keys line up.
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+        for (std::size_t e = 0; e < result.num_edges(); ++e) {
+          edges.push_back({result.src[e], result.dst[e]});
+        }
+        const auto reference = ReferenceTruss(edges);
+        ASSERT_EQ(reference.size(), result.num_edges());
+        for (std::size_t e = 0; e < result.num_edges(); ++e) {
+          const std::uint32_t a = result.src[e];
+          const std::uint32_t b = result.dst[e];
+          const auto key = std::make_pair(std::min(a, b), std::max(a, b));
+          EXPECT_EQ(result.trussness[e], reference.at(key))
+              << "edge " << a << "-" << b;
+          EXPECT_EQ(result.TrussnessOf(a, b), result.trussness[e]);
+          EXPECT_EQ(result.TrussnessOf(b, a), result.trussness[e]);
+        }
+      }
     }
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    for (std::size_t e = 0; e < result.num_edges(); ++e) {
-      edges.push_back({result.src[e], result.dst[e]});
+  }
+}
+
+TEST(KTrussTest, MidSizeSupportAndTrussInvariants) {
+  auto cloud = NewCloud(8);
+  graph::Graph graph(cloud.get());
+  ASSERT_TRUE(graph::Generators::LoadRmat(&graph, 2000, 8.0, 23).ok());
+  GraphSnapshot snapshot;
+  ASSERT_TRUE(SnapshotBuilder::BuildGlobal(&graph, &snapshot).ok());
+  TriangleCounter counter(&graph);
+  TriangleStats local;
+  ASSERT_TRUE(counter.CountLocal(snapshot, &local).ok());
+  ASSERT_GT(local.triangles, 0u);
+
+  // Σ support = 3 × triangles, and per-edge support is the common
+  // neighbourhood of the edge's endpoints.
+  std::vector<std::uint32_t> support;
+  ASSERT_TRUE(CountEdgeSupport(snapshot, TriangleOptions(), &support).ok());
+  ASSERT_EQ(support.size(), snapshot.oriented_edges());
+  std::uint64_t sum = 0;
+  for (const std::uint32_t x : support) sum += x;
+  EXPECT_EQ(sum, 3 * local.triangles);
+
+  KTrussResult result;
+  KTrussStats stats;
+  ASSERT_TRUE(KTrussDecompose(snapshot, &result, &stats).ok());
+  EXPECT_EQ(result.triangles, local.triangles);
+  EXPECT_GE(result.max_trussness, 4u);
+  EXPECT_GE(stats.adjacency_ms, 0.0);
+  EXPECT_GT(stats.support_ms + stats.peel_ms, 0.0);
+
+  const std::uint32_t n = snapshot.num_vertices();
+  std::vector<std::vector<std::uint32_t>> adj(n);
+  for (std::size_t e = 0; e < result.num_edges(); ++e) {
+    adj[result.src[e]].push_back(result.dst[e]);
+    adj[result.dst[e]].push_back(result.src[e]);
+  }
+  for (auto& list : adj) std::sort(list.begin(), list.end());
+  for (std::size_t e = 0; e < result.num_edges(); ++e) {
+    const std::uint32_t a = result.src[e];
+    const std::uint32_t b = result.dst[e];
+    const std::uint32_t t = result.trussness[e];
+    std::uint32_t common = 0;
+    std::uint32_t closed_at_t = 0;
+    for (const std::uint32_t w : adj[a]) {
+      if (!std::binary_search(adj[b].begin(), adj[b].end(), w)) continue;
+      ++common;
+      if (result.TrussnessOf(a, w) >= t && result.TrussnessOf(b, w) >= t) {
+        ++closed_at_t;
+      }
     }
-    const auto reference = ReferenceTruss(edges);
-    ASSERT_EQ(reference.size(), result.num_edges()) << "seed=" << seed;
-    for (std::size_t e = 0; e < result.num_edges(); ++e) {
-      const auto key = std::make_pair(std::min(result.src[e], result.dst[e]),
-                                      std::max(result.src[e], result.dst[e]));
-      EXPECT_EQ(result.trussness[e], reference.at(key))
-          << "seed=" << seed << " edge " << result.src[e] << "-"
-          << result.dst[e];
-    }
+    ASSERT_EQ(support[e], common) << "edge " << a << "-" << b;
+    // An edge of trussness t closes ≥ t-2 triangles inside the t-truss.
+    EXPECT_GE(closed_at_t + 2, t) << "edge " << a << "-" << b;
   }
 }
 
