@@ -12,6 +12,8 @@
 //  * degraded_reads              — reads served by replicas before the sweep
 //  * tfs_files_read              — cold-tier reads during recovery (zero on
 //                                  the hot-standby path)
+//  * trunks_lost                 — replicated trunks recreated empty (every
+//                                  copy died and no snapshot held them)
 //  * replica_memory_bytes        — memory overhead of the standby copies
 
 #include <cstdio>
@@ -108,6 +110,7 @@ void Run(bench::JsonEmitter* json) {
       json->Add("fenced_writes", rs.fenced_writes);
       json->Add("tfs_files_read", tfs_reads);
       json->Add("tfs_fallback_reloads", rs.tfs_fallback_reloads);
+      json->Add("trunks_lost", rs.trunks_lost);
       json->Add("promotions", rs.promotions);
       json->Add("replica_memory_bytes", replica_bytes);
       json->Add("primary_memory_bytes", cloud->MemoryFootprintBytes());

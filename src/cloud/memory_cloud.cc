@@ -1,6 +1,5 @@
 #include "cloud/memory_cloud.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <map>
 
@@ -8,7 +7,6 @@
 #include "cloud/replica_placement.h"
 #include "common/logging.h"
 #include "common/serializer.h"
-#include "common/threadpool.h"
 // Header-only [id][len][bytes] record helpers shared with the compute
 // engines' outboxes; MultiGet responses reuse the same wire shape.
 #include "compute/packed_messages.h"
@@ -604,15 +602,10 @@ Status MemoryCloud::ConfirmShrink(MachineId primary, TrunkId trunk,
     fabric_->AddCpuMicros(primary, micros);
   };
   return options_.retry.Run(hooks, [&](int) -> Status {
-    MachineId leader;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      leader = leader_;
-    }
     // Self-calls (primary == leader) still route through the fabric and
     // run the same fencing check, keeping one code path.
     std::string unused;
-    return fabric_->Call(primary, leader, kIsrShrinkHandler,
+    return fabric_->Call(primary, leader(), kIsrShrinkHandler,
                          Slice(writer.buffer()), &unused);
   });
 }
@@ -684,25 +677,6 @@ bool MemoryCloud::LogToBackup(MachineId primary, CellOp op, CellId id,
   // with no reachable backup; but if an injected crash took the primary down
   // *mid-logging*, the record protects nothing and the ack must not go out.
   return fabric_->IsMachineUp(primary);
-}
-
-void MemoryCloud::OnInjectedCrash(MachineId m) {
-  if (m < 0 || m >= num_endpoints()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  alive_[m].store(false, std::memory_order_release);
-  // Membership changed: lazily invalidate every routing snapshot.
-  routing_stamp_.fetch_add(1, std::memory_order_acq_rel);
-  if (m >= options_.num_slaves) return;  // Proxies/client carry no state.
-  machines_[m].backup_logs.clear();  // The logs it held as backup are gone.
-  // Re-protection snapshots only matter when buffered logs exist; in
-  // replicated mode the sweep would otherwise never converge to "handled".
-  if (options_.buffered_logging) reprotect_pending_ = true;
-  // Unlike FailMachine we keep the storage object itself: an injected crash
-  // can fire mid-protocol while a caller (e.g. a vertex program) still holds
-  // zero-copy slices into this machine's trunk memory. The machine is
-  // unreachable — storage() hides dead machines' state and the fabric
-  // rejects their traffic — and the stale image is discarded by
-  // RecoverMachine/RestartMachine.
 }
 
 MachineId MemoryCloud::BackupOf(MachineId m) const {
@@ -813,22 +787,18 @@ Status MemoryCloud::RouteOp(MachineId src, CellOp op, CellId id,
     }
     owner_down = !fabric_->IsMachineUp(dst);
     if (owner_down) {
-      if (replicated()) {
-        if (options_.auto_promote) {
-          // Promotion failover: a metadata flip (epoch bump + table move),
-          // no TFS reads unless every replica of a trunk died with the
-          // owner. The retry below routes to the promoted primary.
-          Status rs = RecoverMachine(dst);
-          if (!rs.ok()) return rs;
-        } else {
-          // Writes stay retryable until the sweep promotes.
-          return Status::Unavailable(
-              "owner down; promotion pending for trunk " +
-              std::to_string(TrunkOf(id)) + " (retry)");
-        }
-      } else if (options_.tfs != nullptr) {
+      if (replicated() && !options_.auto_promote) {
+        // Writes stay retryable until the sweep promotes.
+        return Status::Unavailable(
+            "owner down; promotion pending for trunk " +
+            std::to_string(TrunkOf(id)) + " (retry)");
+      }
+      if (replicated() || options_.tfs != nullptr) {
+        // Recovery (a metadata flip when a replica survives, else a TFS
+        // reload), or AlreadyExists when dst restarted since we saw it
+        // down. Either way the retry below routes by the fresh table.
         Status rs = RecoverMachine(dst);
-        if (!rs.ok()) return rs;
+        if (!rs.ok() && !rs.IsAlreadyExists()) return rs;
       } else {
         // Pure in-memory mode: no recovery path exists, but the replica can
         // still be merely stale — MigrateTrunk/RebalanceTrunks move trunks
@@ -1041,429 +1011,6 @@ void MemoryCloud::BroadcastTableLocked() {
   RefreshPrimaryRoutingLocked();
 }
 
-std::string MemoryCloud::SnapshotPrefixLocked() const {
-  if (snapshot_epoch_ == 0) return "";  // Nothing committed yet.
-  return options_.tfs_prefix + "/snap_" + std::to_string(snapshot_epoch_);
-}
-
-Status MemoryCloud::SnapshotAllLocked() {
-  // A dead machine whose trunks have not been reassigned yet is represented
-  // only by the *old* epoch plus buffered logs; committing a new epoch now
-  // would truncate both and lose its data. Recovery moves the trunks to
-  // survivors first and then calls back in here.
-  for (int m = 0; m < options_.num_slaves; ++m) {
-    if (!alive_[m].load(std::memory_order_acquire) &&
-        !primary_table_.trunks_of(m).empty()) {
-      return Status::Unavailable("machine " + std::to_string(m) +
-                                 " awaits recovery; snapshot deferred");
-    }
-  }
-  // Stage the new epoch next to the committed one; nothing below touches
-  // the previous epoch's files until the pointer flip succeeds.
-  const std::uint64_t epoch = snapshot_epoch_ + 1;
-  const std::string snap_prefix =
-      options_.tfs_prefix + "/snap_" + std::to_string(epoch);
-  for (int m = 0; m < options_.num_slaves; ++m) {
-    auto store = StorageOf(m);
-    if (!alive_[m].load(std::memory_order_acquire) || store == nullptr) {
-      continue;
-    }
-    Status s = store->SaveToTfs(options_.tfs, snap_prefix);
-    // A failure here abandons the staging files: the previous snapshot and
-    // every buffered log record stay intact, so no recovery path ever sees
-    // a truncated snapshot.
-    if (!s.ok()) return s;
-  }
-  Status s = PersistTableLocked();
-  if (!s.ok()) return s;
-  // Commit point: an atomic pointer flip, the TFS analog of rename(2).
-  s = options_.tfs->WriteFile(options_.tfs_prefix + "/snapshot_current",
-                              Slice(std::to_string(epoch)));
-  if (!s.ok()) return s;
-  snapshot_epoch_ = epoch;
-  // Only a *committed* snapshot makes the buffered log records redundant.
-  for (MachineId m = 0; m < num_endpoints(); ++m) {
-    machines_[m].backup_logs.clear();
-  }
-  reprotect_pending_ = false;  // Every acked write is in this epoch.
-  // Garbage-collect superseded epochs (and abandoned staging attempts).
-  const std::string keep = snap_prefix + "/";
-  for (const std::string& path :
-       options_.tfs->List(options_.tfs_prefix + "/snap_")) {
-    if (path.compare(0, keep.size(), keep) != 0) {
-      options_.tfs->DeleteFile(path);
-    }
-  }
-  return Status::OK();
-}
-
-Status MemoryCloud::SaveSnapshot() {
-  if (options_.tfs == nullptr) {
-    return Status::InvalidArgument("no TFS configured");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  return SnapshotAllLocked();
-}
-
-Status MemoryCloud::FailMachine(MachineId m) {
-  if (m < 0 || m >= options_.num_slaves) {
-    return Status::InvalidArgument("can only fail slaves");
-  }
-  fabric_->SetMachineDown(m);
-  std::lock_guard<std::mutex> lock(mu_);
-  alive_[m].store(false, std::memory_order_release);
-  routing_stamp_.fetch_add(1, std::memory_order_acq_rel);
-  machines_[m].storage.store(nullptr);  // RAM contents are gone.
-  machines_[m].backup_logs.clear();  // So are the logs it held as backup.
-  // The wiped logs may have been the only copies protecting other
-  // primaries' recent writes; the next recovery snapshot re-protects them.
-  if (options_.buffered_logging) reprotect_pending_ = true;
-  return Status::OK();
-}
-
-std::vector<MachineId> MemoryCloud::AliveSlavesLocked() const {
-  std::vector<MachineId> result;
-  for (int m = 0; m < options_.num_slaves; ++m) {
-    if (alive_[m].load(std::memory_order_acquire)) result.push_back(m);
-  }
-  return result;
-}
-
-Status MemoryCloud::ElectLeader() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::vector<MachineId> alive = AliveSlavesLocked();
-  if (alive.empty()) return Status::Unavailable("no alive slaves");
-  const MachineId candidate = alive.front();
-  if (options_.tfs != nullptr) {
-    // Fence through TFS so two partitions cannot both elect a leader
-    // (§6.2: "the new leader marks a flag on the shared distributed
-    // fault-tolerant file system").
-    for (int tries = 0; tries < 1000; ++tries) {
-      ++leader_epoch_;
-      const std::string flag = options_.tfs_prefix + "/leader_epoch_" +
-                               std::to_string(leader_epoch_);
-      Status s = options_.tfs->CreateExclusive(
-          flag, Slice(std::to_string(candidate)));
-      if (s.ok()) break;
-      if (!s.IsAlreadyExists()) return s;
-    }
-  }
-  leader_ = candidate;
-  return Status::OK();
-}
-
-Status MemoryCloud::RecoverMachine(MachineId failed) {
-  if (options_.tfs == nullptr && !replicated()) {
-    return Status::InvalidArgument("recovery requires TFS or replication");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (replicated()) return PromoteReplicasLocked(failed);
-  if (alive_[failed].load(std::memory_order_acquire)) {
-    alive_[failed].store(false, std::memory_order_release);
-    fabric_->SetMachineDown(failed);
-  }
-  // Covers both the explicit-failure path and an injected crash whose stale
-  // memory image was deliberately kept alive until now (see OnInjectedCrash).
-  machines_[failed].storage.store(nullptr);
-  if (leader_ == failed || !alive_[leader_].load(std::memory_order_acquire)) {
-    // Leader is gone; elect a new one (inline, we already hold the state).
-    const std::vector<MachineId> alive = AliveSlavesLocked();
-    if (alive.empty()) return Status::Unavailable("no alive slaves");
-    leader_ = alive.front();
-    if (options_.tfs != nullptr) {
-      ++leader_epoch_;
-      options_.tfs->CreateExclusive(
-          options_.tfs_prefix + "/leader_epoch_" +
-              std::to_string(leader_epoch_),
-          Slice(std::to_string(leader_)));
-    }
-  }
-  const std::vector<MachineId> targets = AliveSlavesLocked();
-  if (targets.empty()) return Status::Unavailable("no recovery targets");
-  const std::vector<TrunkId> trunks = primary_table_.trunks_of(failed);
-  if (trunks.empty()) {
-    // Nothing to reload — but the dead machine still took its backup-log
-    // buffers with it, so the survivors' recent writes may have lost their
-    // only log copies. Cut the re-protection snapshot before declaring the
-    // crash handled (a trunkless machine can die holding logs: it was
-    // restarted empty after an earlier failure, yet served as backup).
-    if (reprotect_pending_) {
-      Status s = SnapshotAllLocked();
-      if (!s.ok() && !s.IsUnavailable()) return s;
-    }
-    return Status::OK();
-  }
-
-  // "During recovery, the leader reloads data owned by the failed machine
-  // to other alive machines, updates the primary addressing table and
-  // broadcasts it" (§6.2). Trunks load from the last *committed* snapshot
-  // epoch; a half-written staging epoch is invisible here.
-  const std::string snap_prefix = SnapshotPrefixLocked();
-  std::size_t next = 0;
-  for (TrunkId t : trunks) {
-    const MachineId target = targets[next++ % targets.size()];
-    auto target_store = StorageOf(target);
-    if (target_store == nullptr) {
-      return Status::Unavailable("recovery target lost its storage");
-    }
-    std::unique_ptr<storage::MemoryTrunk> trunk;
-    Status s = snap_prefix.empty()
-                   ? Status::NotFound("no committed snapshot")
-                   : storage::MemoryStorage::LoadTrunkFromTfs(
-                         options_.tfs, snap_prefix, t,
-                         options_.storage.trunk, &trunk);
-    if (s.IsNotFound()) {
-      // Never snapshotted: recover an empty trunk (plus log replay below).
-      s = storage::MemoryTrunk::Create(options_.storage.trunk, &trunk);
-    }
-    if (!s.ok()) return s;
-    s = target_store->AttachTrunk(t, std::move(trunk));
-    if (!s.ok()) return s;
-    primary_table_.MoveTrunk(t, target);
-  }
-
-  // Replay buffered log records held for the failed primary. Records may be
-  // spread over several backups (the backup choice follows liveness) and a
-  // retried log call can deposit the same record twice, so gather them all,
-  // order by sequence number and replay each seq exactly once.
-  std::vector<LogRecord> replay;
-  for (int m = 0; m < options_.num_slaves; ++m) {
-    if (!alive_[m]) continue;
-    auto it = machines_[m].backup_logs.find(failed);
-    if (it == machines_[m].backup_logs.end()) continue;
-    for (LogRecord& record : it->second) replay.push_back(std::move(record));
-    machines_[m].backup_logs.erase(it);
-  }
-  std::sort(replay.begin(), replay.end(),
-            [](const LogRecord& a, const LogRecord& b) {
-              return a.seq < b.seq;
-            });
-  std::uint64_t last_seq = 0;
-  for (const LogRecord& record : replay) {
-    if (record.seq == last_seq) continue;  // Duplicate from a retried call.
-    last_seq = record.seq;
-    const TrunkId t = TrunkOf(record.id);
-    const MachineId owner = primary_table_.machine_of_trunk(t);
-    auto owner_store = StorageOf(owner);
-    if (owner_store == nullptr) continue;
-    storage::MemoryTrunk* trunk = owner_store->trunk(t);
-    if (trunk == nullptr) continue;
-    switch (record.op) {
-      case CellOp::kAdd:
-      case CellOp::kPut:
-        trunk->PutCell(record.id, Slice(record.payload));
-        break;
-      case CellOp::kRemove:
-        trunk->RemoveCell(record.id);
-        break;
-      case CellOp::kAppend:
-        trunk->AppendToCell(record.id, Slice(record.payload));
-        break;
-      default:
-        break;
-    }
-  }
-
-  // Re-protect the survivors: the failed machine may have held the only
-  // backup log copies for other primaries, and those records died with it.
-  // Cutting a fresh snapshot (which also persists the updated table)
-  // restores full durability — the equivalent of RAMCloud re-replicating a
-  // dead backup's log segments. Unavailable means another machine is down
-  // with trunks still unassigned; its recovery will cut the snapshot.
-  Status s = SnapshotAllLocked();
-  if (!s.ok() && !s.IsUnavailable()) return s;
-  if (!s.ok()) {
-    // The table moved trunks even though the snapshot was deferred.
-    Status ps = PersistTableLocked();
-    if (!ps.ok()) return ps;
-  }
-  BroadcastTableLocked();
-  return Status::OK();
-}
-
-Status MemoryCloud::PromoteReplicasLocked(MachineId failed) {
-  // Classify the failure. A fabric endpoint that is still up but failed its
-  // heartbeats is partitioned, not crashed: depose it (promote its trunks
-  // away, fence its epoch) but keep its endpoint and memory image — the
-  // stale primary the split-brain tests aim at. A down endpoint is a real
-  // crash: its lingering image (kept by OnInjectedCrash for zero-copy
-  // safety) is a ghost and is discarded here.
-  if (alive_[failed].load(std::memory_order_acquire)) {
-    if (!fabric_->IsMachineUp(failed)) machines_[failed].storage.store(nullptr);
-    alive_[failed].store(false, std::memory_order_release);
-  } else if (!fabric_->IsMachineUp(failed)) {
-    machines_[failed].storage.store(nullptr);
-  }
-  routing_stamp_.fetch_add(1, std::memory_order_acq_rel);
-  machines_[failed].backup_logs.clear();
-  if (leader_ == failed || !alive_[leader_].load(std::memory_order_acquire)) {
-    const std::vector<MachineId> alive = AliveSlavesLocked();
-    if (alive.empty()) return Status::Unavailable("no alive slaves");
-    leader_ = alive.front();
-    if (options_.tfs != nullptr) {
-      ++leader_epoch_;
-      options_.tfs->CreateExclusive(
-          options_.tfs_prefix + "/leader_epoch_" +
-              std::to_string(leader_epoch_),
-          Slice(std::to_string(leader_)));
-    }
-  }
-  // The failed machine's replica trunks are ghosts (crash) or unreachable
-  // behind a partition; drop it from every in-sync set.
-  primary_table_.RemoveReplicaEverywhere(failed);
-  const std::vector<TrunkId> owned = primary_table_.trunks_of(failed);
-  if (owned.empty()) {
-    Status ps = PersistTableLocked();
-    if (!ps.ok()) return ps;
-    BroadcastTableLocked();
-    return Status::OK();
-  }
-  const std::vector<MachineId> survivors = AliveSlavesLocked();
-  if (survivors.empty()) return Status::Unavailable("no alive slaves");
-  const std::string snap_prefix =
-      options_.tfs == nullptr ? std::string() : SnapshotPrefixLocked();
-  int promoted = 0;
-  int reloaded = 0;
-  std::size_t rr = 0;
-  for (TrunkId t : owned) {
-    MachineId target = kInvalidMachine;
-    std::shared_ptr<storage::MemoryStorage> target_store;
-    for (MachineId r : primary_table_.replicas_of_trunk(t)) {
-      auto store = StorageOf(r);
-      if (alive_[r].load(std::memory_order_acquire) && store != nullptr &&
-          store->replica_trunk(t) != nullptr) {
-        target = r;
-        target_store = std::move(store);
-        break;
-      }
-    }
-    if (target != kInvalidMachine) {
-      // The hot path: an O(1) ownership flip. No trunk bytes move and no
-      // TFS file is read — the acceptance criterion the chaos tests assert
-      // via the TFS read counters.
-      Status s = target_store->PromoteReplicaTrunk(t);
-      if (!s.ok()) return s;
-      primary_table_.MoveTrunk(t, target);  // Bumps the fencing epoch.
-      primary_table_.RemoveReplica(t, target);  // Promoted: now primary.
-      ++promoted;
-      continue;
-    }
-    // Every in-memory replica of this trunk died with its primary — the
-    // one case where the TFS cold tier is consulted.
-    if (options_.tfs == nullptr) {
-      return Status::Unavailable("trunk " + std::to_string(t) +
-                                 " lost: all replicas dead and no TFS "
-                                 "cold tier configured");
-    }
-    const MachineId tgt = survivors[rr++ % survivors.size()];
-    auto tgt_store = StorageOf(tgt);
-    if (tgt_store == nullptr) {
-      return Status::Unavailable("recovery target lost its storage");
-    }
-    std::unique_ptr<storage::MemoryTrunk> trunk;
-    Status s = snap_prefix.empty()
-                   ? Status::NotFound("no committed snapshot")
-                   : storage::MemoryStorage::LoadTrunkFromTfs(
-                         options_.tfs, snap_prefix, t,
-                         options_.storage.trunk, &trunk);
-    if (s.IsNotFound()) {
-      // Never snapshotted: writes since creation are lost with the last
-      // replica; restart the trunk empty so the cluster keeps serving.
-      s = storage::MemoryTrunk::Create(options_.storage.trunk, &trunk);
-    }
-    if (!s.ok()) return s;
-    if (tgt_store->replica_trunk(t) != nullptr) {
-      // A stale (not in-sync) replica image is superseded by the reload.
-      tgt_store->DetachReplicaTrunk(t);
-    }
-    s = tgt_store->AttachTrunk(t, std::move(trunk));
-    if (!s.ok()) return s;
-    primary_table_.MoveTrunk(t, tgt);
-    primary_table_.RemoveReplica(t, tgt);
-    ++reloaded;
-  }
-  // Simulated time-to-promote: per-trunk metadata flips plus the broadcast
-  // fan-out, charged to the leader so the cost model sees the stall. Cold
-  // reloads are orders of magnitude slower (disk + deserialize).
-  const double promote_micros = 10.0 * static_cast<double>(owned.size()) +
-                                5.0 * static_cast<double>(survivors.size()) +
-                                500.0 * static_cast<double>(reloaded);
-  fabric_->AddCpuMicros(leader_, promote_micros);
-  recovery_stats_.promotions.fetch_add(promoted, std::memory_order_relaxed);
-  recovery_stats_.tfs_fallback_reloads.fetch_add(reloaded,
-                                                 std::memory_order_relaxed);
-  recovery_stats_.last_promote_micros.store(
-      static_cast<std::uint64_t>(promote_micros), std::memory_order_relaxed);
-  // Until re-replication runs, promotion is all the recovery there is.
-  recovery_stats_.last_full_replication_micros.store(
-      static_cast<std::uint64_t>(promote_micros), std::memory_order_relaxed);
-  Status ps = PersistTableLocked();
-  if (!ps.ok()) return ps;
-  BroadcastTableLocked();
-  return Status::OK();
-}
-
-int MemoryCloud::DetectAndRecover(SweepReport* report) {
-  int recovered = 0;
-  const auto record = [&](MachineId m, const Status& rs) {
-    if (rs.ok()) {
-      ++recovered;
-      if (report != nullptr) report->recovered.push_back(m);
-    } else if (report != nullptr) {
-      // The machine stays marked down (RecoverMachine flips alive_ before
-      // doing any fallible work), so the next sweep retries it; surface
-      // the error instead of discarding it.
-      report->failed.emplace_back(m, rs);
-    }
-  };
-  // A dead leader cannot probe anyone (the fabric rejects traffic from down
-  // machines), so first recover the leader itself — which elects a live
-  // successor — before sweeping the cluster with heartbeats.
-  MachineId leader;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    leader = leader_;
-  }
-  if (!fabric_->IsMachineUp(leader)) {
-    record(leader, RecoverMachine(leader));
-  }
-  for (int m = 0; m < options_.num_slaves; ++m) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!alive_[m].load(std::memory_order_acquire)) {
-        // Known dead. Recover if it still owns trunks, or if its death took
-        // backup-log copies that have not been re-protected yet; otherwise
-        // the crash is fully handled.
-        if (primary_table_.trunks_of(m).empty() && !reprotect_pending_) {
-          continue;
-        }
-      }
-    }
-    // Heartbeat from the leader (§6.2: "Trinity uses heartbeat messages to
-    // proactively detect machine failures"). Retried under the same policy
-    // as routing: a single injected call failure or lost response must not
-    // condemn a healthy machine to a (costly) false recovery.
-    RetryPolicy::RunHooks hooks;
-    hooks.salt = Mix64(static_cast<std::uint64_t>(m) + 3);
-    hooks.charge = [&](double micros) {
-      fabric_->AddCpuMicros(leader_, micros);
-    };
-    Status s = options_.retry.Run(hooks, [&](int) -> Status {
-      std::string pong;
-      return fabric_->Call(leader_, m, kHeartbeatHandler, Slice(), &pong);
-    });
-    if (s.IsRetryable()) {
-      record(m, RecoverMachine(m));
-    }
-  }
-  // Background repair: restore the replication factor across the survivors
-  // once promotions have drained.
-  if (replicated() && options_.rereplicate_on_recover) {
-    const int repaired = ReReplicate();
-    if (report != nullptr) report->rereplicated_trunks = repaired;
-  }
-  return recovered;
-}
 
 std::uint64_t MemoryCloud::ReplicaMemoryBytes() const {
   std::uint64_t total = 0;
@@ -1482,279 +1029,6 @@ net::RecoveryStats MemoryCloud::recovery_stats() const {
   return recovery_stats_.Load();
 }
 
-int MemoryCloud::ReReplicate() {
-  if (!replicated()) return 0;
-  struct Job {
-    TrunkId trunk;
-    MachineId primary;
-    MachineId target;
-  };
-  std::vector<Job> jobs;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::vector<MachineId> alive = AliveSlavesLocked();
-    if (alive.size() < 2) return 0;
-    for (TrunkId t = 0; t < primary_table_.num_slots(); ++t) {
-      const MachineId primary = primary_table_.machine_of_trunk(t);
-      if (!alive_[primary].load(std::memory_order_acquire) ||
-          StorageOf(primary) == nullptr) {
-        continue;  // Awaiting promotion; not repairable yet.
-      }
-      // Desired placement under the current membership. Rendezvous scores
-      // of the survivors are unchanged by the departure, so only the lost
-      // replicas re-place (consistent-hashing stability); extra holders are
-      // trimmed below, but only after the desired set is fully present.
-      const std::vector<MachineId> want = ReplicaTargets(
-          t, primary, options_.replication_factor, alive);
-      const std::vector<MachineId>& have = primary_table_.replicas_of_trunk(t);
-      for (MachineId w : want) {
-        if (std::find(have.begin(), have.end(), w) == have.end()) {
-          jobs.push_back(Job{t, primary, w});
-        }
-      }
-    }
-  }
-  if (jobs.empty()) return 0;
-  // Canonical order: injected faults must hit the same calls run after run.
-  std::sort(jobs.begin(), jobs.end(), [](const Job& a, const Job& b) {
-    if (a.trunk != b.trunk) return a.trunk < b.trunk;
-    return a.target < b.target;
-  });
-  // Parallel partitioned serialization: the source images are built
-  // concurrently on the pool (the expensive, CPU-bound half), then shipped
-  // *sequentially* in canonical order so the fault injector's PRNG — and
-  // therefore every chaos seed's behavior — is consumed identically run to
-  // run. Mirrors the BSP engine's parallel-compute/sequential-traffic
-  // determinism pattern.
-  std::vector<std::string> images(jobs.size());
-  std::vector<Status> serialize_status(jobs.size(), Status::OK());
-  ThreadPool pool(0);
-  pool.ParallelFor(static_cast<int>(jobs.size()), [&](int i) {
-    auto store = StorageOf(jobs[i].primary);
-    storage::MemoryTrunk* source =
-        store == nullptr ? nullptr : store->trunk(jobs[i].trunk);
-    if (source == nullptr) {
-      serialize_status[i] = Status::Unavailable("source trunk vanished");
-      return;
-    }
-    serialize_status[i] = source->Serialize(&images[i]);
-  });
-  int installed = 0;
-  std::uint64_t shipped_bytes = 0;
-  std::map<MachineId, double> per_target_micros;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const Job& job = jobs[i];
-    if (!serialize_status[i].ok()) continue;
-    if (!fabric_->IsMachineUp(job.primary) ||
-        !fabric_->IsMachineUp(job.target)) {
-      continue;  // A crash got here first; the next sweep retries.
-    }
-    // Charge the serialization to the source machine's CPU meter.
-    fabric_->AddCpuMicros(job.primary,
-                          static_cast<double>(images[i].size()) * 0.0005);
-    BinaryWriter writer;
-    writer.PutI32(job.trunk);
-    writer.PutBytes(Slice(images[i]));
-    std::string unused;
-    Status s = fabric_->Call(job.primary, job.target, kReplicaInstallHandler,
-                             Slice(writer.buffer()), &unused);
-    if (!s.ok() || !fabric_->IsMachineUp(job.target)) continue;
-    std::lock_guard<std::mutex> lock(mu_);
-    // Commit only if the world did not shift underneath the transfer (an
-    // injected crash during the Call can trigger promotions).
-    if (primary_table_.machine_of_trunk(job.trunk) == job.primary &&
-        alive_[job.target].load(std::memory_order_acquire)) {
-      primary_table_.AddReplica(job.trunk, job.target);
-      ++installed;
-      shipped_bytes += images[i].size();
-      per_target_micros[job.target] +=
-          50.0 + static_cast<double>(images[i].size()) * 0.001;
-    }
-  }
-  if (installed > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    recovery_stats_.trunks_rereplicated.fetch_add(installed,
-                                                  std::memory_order_relaxed);
-    recovery_stats_.bytes_rereplicated.fetch_add(shipped_bytes,
-                                                 std::memory_order_relaxed);
-    // Modeled wall time of the parallel transfer: each destination installs
-    // its images serially, destinations proceed in parallel — the slowest
-    // destination bounds time-to-full-replication.
-    double slowest = 0;
-    for (const auto& [target, micros] : per_target_micros) {
-      (void)target;
-      slowest = std::max(slowest, micros);
-    }
-    recovery_stats_.last_full_replication_micros.store(
-        recovery_stats_.last_promote_micros.load(std::memory_order_relaxed) +
-            static_cast<std::uint64_t>(slowest),
-        std::memory_order_relaxed);
-    Status ps = PersistTableLocked();
-    (void)ps;  // Best effort: the next sweep re-persists.
-    BroadcastTableLocked();
-  }
-  // Convergence: once a trunk's desired placement is fully in sync, holders
-  // outside it (membership-churn leftovers, e.g. after failback or a trunk
-  // migration) are detached so the factor is exactly k — bounding replica
-  // memory and write fan-out. A trunk with a missing install keeps its
-  // surplus stand-ins; trimming never drops the copy count below target.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::vector<MachineId> alive = AliveSlavesLocked();
-    int trimmed = 0;
-    for (TrunkId t = 0;
-         alive.size() >= 2 && t < primary_table_.num_slots(); ++t) {
-      const MachineId primary = primary_table_.machine_of_trunk(t);
-      if (!alive_[primary].load(std::memory_order_acquire)) continue;
-      const std::vector<MachineId> want = ReplicaTargets(
-          t, primary, options_.replication_factor, alive);
-      // Copied: RemoveReplica below mutates the table's vector.
-      const std::vector<MachineId> have = primary_table_.replicas_of_trunk(t);
-      bool complete = true;
-      for (MachineId w : want) {
-        if (std::find(have.begin(), have.end(), w) == have.end()) {
-          complete = false;
-          break;
-        }
-      }
-      if (!complete) continue;
-      for (MachineId h : have) {
-        if (std::find(want.begin(), want.end(), h) != want.end()) continue;
-        primary_table_.RemoveReplica(t, h);
-        auto holder = StorageOf(h);
-        if (alive_[h].load(std::memory_order_acquire) && holder != nullptr) {
-          holder->DetachReplicaTrunk(t);
-        }
-        ++trimmed;
-      }
-    }
-    if (trimmed > 0) {
-      Status ps = PersistTableLocked();
-      (void)ps;
-      BroadcastTableLocked();
-    }
-  }
-  return installed;
-}
-
-Status MemoryCloud::MigrateTrunk(TrunkId trunk, MachineId to) {
-  MachineId from;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (trunk < 0 || trunk >= primary_table_.num_slots()) {
-      return Status::InvalidArgument("trunk out of range");
-    }
-    if (to < 0 || to >= options_.num_slaves ||
-        !alive_[to].load(std::memory_order_acquire)) {
-      return Status::InvalidArgument("destination is not an alive slave");
-    }
-    from = primary_table_.machine_of_trunk(trunk);
-    if (from == to) return Status::OK();
-    if (!alive_[from].load(std::memory_order_acquire) ||
-        StorageOf(from) == nullptr) {
-      return Status::Unavailable("source machine is down");
-    }
-  }
-  // 1. Serialize the trunk at the source (metered as its CPU work).
-  auto from_store = StorageOf(from);
-  if (from_store == nullptr) {
-    return Status::Unavailable("source machine is down");
-  }
-  storage::MemoryTrunk* source = from_store->trunk(trunk);
-  if (source == nullptr) return Status::NotFound("trunk not hosted at source");
-  std::string image;
-  {
-    net::Fabric::MeterScope meter(*fabric_, from);
-    Status s = source->Serialize(&image);
-    if (!s.ok()) return s;
-  }
-  // 2. Ship the image to the destination over the fabric.
-  BinaryWriter writer;
-  writer.PutI32(trunk);
-  writer.PutBytes(Slice(image));
-  std::string unused;
-  Status s = fabric_->Call(from, to, kTrunkMigrateHandler,
-                           Slice(writer.buffer()), &unused);
-  if (!s.ok() || !fabric_->IsMachineUp(to)) {
-    // Roll back: nothing was committed — the source still owns the trunk
-    // and the addressing table is untouched. If the destination managed to
-    // attach the image before the failure surfaced, detach it so exactly
-    // one replica stays authoritative.
-    std::lock_guard<std::mutex> lock(mu_);
-    auto to_store = StorageOf(to);
-    if (alive_[to].load(std::memory_order_acquire) && to_store != nullptr) {
-      to_store->DetachTrunk(trunk);  // NotFound is fine.
-    }
-    return s.ok() ? Status::Unavailable(
-                        "destination crashed during trunk migration")
-                  : s;
-  }
-  // 3. Drop the source copy and commit the new ownership. The source may
-  // have crashed after the hand-off (its copy died with it); the commit
-  // still proceeds — the destination now holds the only live replica, which
-  // is exactly the re-drive a leader performs for a half-finished migration.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (alive_[from].load(std::memory_order_acquire) &&
-        StorageOf(from) != nullptr) {
-      Status ds = StorageOf(from)->DetachTrunk(trunk);
-      if (!ds.ok()) return ds;
-    }
-    if (replicated()) {
-      // The destination may have held a replica of this trunk; the primary
-      // image it just received supersedes it, and a machine never appears
-      // in its own trunk's in-sync set.
-      auto to_store = StorageOf(to);
-      if (to_store != nullptr &&
-          to_store->replica_trunk(trunk) != nullptr) {
-        to_store->DetachReplicaTrunk(trunk);
-      }
-      primary_table_.RemoveReplica(trunk, to);
-    }
-    primary_table_.MoveTrunk(trunk, to);
-    Status ps = PersistTableLocked();
-    if (!ps.ok()) return ps;
-    BroadcastTableLocked();
-  }
-  return Status::OK();
-}
-
-int MemoryCloud::RebalanceTrunks() {
-  int moved = 0;
-  for (;;) {
-    TrunkId candidate = -1;
-    MachineId from = kInvalidMachine, to = kInvalidMachine;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // Find the most- and least-loaded alive slaves.
-      std::size_t max_count = 0, min_count = ~std::size_t{0};
-      for (MachineId m = 0; m < options_.num_slaves; ++m) {
-        if (!alive_[m].load(std::memory_order_acquire) ||
-            StorageOf(m) == nullptr) {
-          continue;
-        }
-        const std::size_t count = primary_table_.trunks_of(m).size();
-        if (count > max_count) {
-          max_count = count;
-          from = m;
-        }
-        if (count < min_count) {
-          min_count = count;
-          to = m;
-        }
-      }
-      if (from == kInvalidMachine || to == kInvalidMachine ||
-          max_count <= min_count + 1) {
-        break;  // Balanced within one trunk.
-      }
-      candidate = primary_table_.trunks_of(from).front();
-    }
-    if (!MigrateTrunk(candidate, to).ok()) break;
-    ++moved;
-  }
-  return moved;
-}
-
 void MemoryCloud::DesyncReplicaForTest(MachineId m) {
   std::lock_guard<std::mutex> lock(mu_);
   machines_[m].table_replica =
@@ -1762,26 +1036,6 @@ void MemoryCloud::DesyncReplicaForTest(MachineId m) {
   // Install a snapshot of the *stale* table: the fast path must route per
   // the desynced view so RouteOp's transparent re-sync is exercised.
   RefreshRoutingLocked(m);
-}
-
-Status MemoryCloud::RestartMachine(MachineId m) {
-  if (m < 0 || m >= options_.num_slaves) {
-    return Status::InvalidArgument("can only restart slaves");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (alive_[m].load(std::memory_order_acquire)) {
-    return Status::AlreadyExists("machine is up");
-  }
-  machines_[m].storage.store(
-      std::make_shared<storage::MemoryStorage>(options_.storage),
-      std::memory_order_release);
-  machines_[m].table_replica = primary_table_;
-  machines_[m].next_log_seq = 1;
-  alive_[m].store(true, std::memory_order_release);
-  RefreshRoutingLocked(m);
-  fabric_->SetMachineUp(m);
-  RegisterHandlers(m);
-  return Status::OK();
 }
 
 }  // namespace trinity::cloud

@@ -228,8 +228,8 @@ class MemoryCloud {
   /// Simulates a machine crash: storage dropped, endpoint marked down.
   Status FailMachine(MachineId m);
 
-  /// Per-machine outcome of one DetectAndRecover sweep. Machines whose
-  /// recovery failed stay marked down so the next sweep retries them.
+  /// Per-machine outcome of one DetectAndRecover sweep. The next sweep
+  /// retries every machine listed in `failed`.
   struct SweepReport {
     std::vector<MachineId> recovered;
     std::vector<std::pair<MachineId, Status>> failed;
@@ -238,14 +238,20 @@ class MemoryCloud {
 
   /// Leader heartbeat sweep; recovers every failed slave found (promotion
   /// failover in replicated mode, TFS reload otherwise) and, in replicated
-  /// mode, runs background re-replication afterwards. Returns the number of
-  /// machines recovered; `report` (may be null) receives the per-machine
-  /// status summary instead of errors being silently discarded.
+  /// mode, runs background re-replication afterwards. Only here may a failed
+  /// heartbeat kill or depose a machine that is up; one holding the only
+  /// copy of a trunk is reported failed (Unavailable) instead of deposed.
+  /// Returns the number of machines recovered; `report` (may be null)
+  /// receives the per-machine status summary.
   int DetectAndRecover(SweepReport* report);
   int DetectAndRecover() { return DetectAndRecover(nullptr); }
 
-  /// Recovers one known-failed slave (reload from TFS + log replay +
-  /// table rebroadcast). The machine stays down; its data moves elsewhere.
+  /// Recovers a slave whose fabric endpoint is down: each trunk it owned is
+  /// taken over by an in-sync replica, else reloaded from the last committed
+  /// TFS snapshot, else recreated empty; buffered logs replay and the table
+  /// is rebroadcast. Returns AlreadyExists("machine is up") when the
+  /// endpoint is up (restarted since the caller saw it down, or never down):
+  /// only a failed DetectAndRecover heartbeat may depose a live machine.
   Status RecoverMachine(MachineId failed);
 
   /// Restarts a previously failed machine as an empty slave that can take
@@ -270,7 +276,10 @@ class MemoryCloud {
   /// transparently re-sync it from the primary on the first failed access.
   void DesyncReplicaForTest(MachineId m);
 
-  MachineId leader() const { return leader_; }
+  MachineId leader() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return leader_;
+  }
   /// Elects the lowest-id alive slave, fencing through a TFS flag file when
   /// TFS is configured.
   Status ElectLeader();
@@ -352,7 +361,8 @@ class MemoryCloud {
                       std::string* response);
 
   /// Encodes and routes an op from src to the owner of id, handling stale
-  /// table replicas and machine failures with one retry after re-sync.
+  /// table replicas and machine failures by re-syncing from the primary
+  /// table and retrying, bounded by options.retry (RetryPolicy).
   Status RouteOp(MachineId src, CellOp op, CellId id, Slice payload,
                  std::string* response, CallContext* ctx = nullptr);
 
@@ -391,6 +401,18 @@ class MemoryCloud {
   /// FailMachine, driven by the fault injector's crash schedules.
   void OnInjectedCrash(MachineId m);
 
+  /// The one "machine is gone" transition (crash, kill or deposition); the
+  /// ghost storage image stays only with `keep_image`. Caller holds mu_.
+  void MarkDownLocked(MachineId m, bool keep_image);
+
+  /// Body of RecoverMachine; `depose` (sweep only) lets it act on a machine
+  /// whose endpoint is up.
+  Status Recover(MachineId failed, bool depose);
+
+  /// First alive slave holding an in-sync replica trunk of `t`, or
+  /// kInvalidMachine. Caller holds mu_.
+  MachineId LiveReplicaLocked(TrunkId t) const;
+
   bool replicated() const { return options_.replication_factor > 0; }
 
   /// Ships one applied mutation synchronously to every in-sync replica,
@@ -417,15 +439,6 @@ class MemoryCloud {
   Status ConfirmShrink(MachineId primary, TrunkId trunk, std::uint64_t epoch,
                        MachineId replica);
 
-  /// Replicated-mode body of RecoverMachine: promotes an in-sync replica of
-  /// each trunk the failed machine owned (metadata flip, zero TFS reads),
-  /// falling back to a TFS cold-tier reload only when every replica of a
-  /// trunk is lost. A machine whose fabric endpoint is still up (heartbeats
-  /// failed ⇒ partition, not crash) is *deposed*: its trunks are promoted
-  /// away and every epoch bump fences its stale write path, but its
-  /// endpoint and memory image stay so split-brain behavior is observable.
-  Status PromoteReplicasLocked(MachineId failed);
-
   /// TFS directory of the last *committed* snapshot epoch; empty when no
   /// snapshot has committed yet.
   std::string SnapshotPrefixLocked() const;
@@ -438,6 +451,8 @@ class MemoryCloud {
 
   Status PersistTableLocked();
   void BroadcastTableLocked();
+  /// Elects the lowest-id alive slave (the body of ElectLeader).
+  Status ElectLeaderLocked();
   MachineId BackupOf(MachineId m) const;
   std::vector<MachineId> AliveSlavesLocked() const;
 

@@ -70,7 +70,8 @@ struct NetworkStats {
   X(trunks_rereplicated)                                                      \
   X(degraded_reads)     /* Reads served by a replica trunk. */                \
   X(fenced_writes)                                                            \
-  X(tfs_fallback_reloads)  /* Reloads from TFS: every replica was lost. */
+  X(tfs_fallback_reloads)  /* Reloads from TFS: every replica was lost. */  \
+  X(trunks_lost)  /* Replicated trunks restarted empty: no copy, no snapshot. */
 
 struct RecoveryStats {
   TRINITY_RECOVERY_STATS_FIELDS(TRINITY_PLAIN_COUNTER)

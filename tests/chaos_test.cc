@@ -125,6 +125,10 @@ void HealReplicated(ChaosCluster& c) {
   const tfs::Tfs::Stats after = c.tfs->stats();
   EXPECT_EQ(after.files_read, before.files_read)
       << "promotion hot path read trunk data from TFS";
+  // A trunk restarted empty reads no file, so the check above cannot see
+  // it; the loss counter can.
+  EXPECT_EQ(c.cloud->recovery_stats().trunks_lost, 0u)
+      << "recovery restarted a trunk empty";
   for (MachineId m = 0; m < c.cloud->num_slaves(); ++m) {
     if (!c.cloud->fabric().IsMachineUp(m)) {
       ASSERT_TRUE(c.cloud->RestartMachine(m).ok());

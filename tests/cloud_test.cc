@@ -300,6 +300,27 @@ TEST_F(MemoryCloudFtTest, RestartedMachineRejoins) {
   EXPECT_EQ(out, "from restarted");
 }
 
+// A recovery request that arrives after the machine restarted must leave it
+// up: only a failed sweep heartbeat may take down a live machine.
+TEST_F(MemoryCloudFtTest, LateRecoveryLeavesRestartedMachineUp) {
+  for (CellId id = 0; id < 40; ++id) {
+    ASSERT_TRUE(cloud_->AddCell(id, Slice("late")).ok());
+  }
+  const MachineId m = 2;
+  ASSERT_TRUE(cloud_->FailMachine(m).ok());
+  ASSERT_TRUE(cloud_->RecoverMachine(m).ok());
+  ASSERT_TRUE(cloud_->RestartMachine(m).ok());
+  const Status s = cloud_->RecoverMachine(m);
+  EXPECT_TRUE(s.IsAlreadyExists()) << s.message();
+  EXPECT_TRUE(cloud_->fabric().IsMachineUp(m));
+  ASSERT_TRUE(cloud_->AddCellFrom(m, 7777, Slice("from restarted")).ok());
+  for (CellId id = 0; id < 40; ++id) {
+    std::string out;
+    ASSERT_TRUE(cloud_->GetCell(id, &out).ok()) << "cell " << id;
+    EXPECT_EQ(out, "late");
+  }
+}
+
 TEST_F(MemoryCloudTest, LiveTrunkMigration) {
   for (CellId id = 0; id < 200; ++id) {
     ASSERT_TRUE(cloud_->AddCell(id, Slice("m" + std::to_string(id))).ok());

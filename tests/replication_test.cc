@@ -326,6 +326,90 @@ TEST(ReplicationTest, SweepReportSurfacesUnrecoverableMachines) {
   EXPECT_FALSE(again.failed.empty());
 }
 
+// A recovery request for a machine that is up does nothing. A reader can
+// issue one late (it saw the machine down, then was descheduled); acting on
+// it would depose the live primary and restart empty every trunk whose only
+// other copy sat on a crashed replica holder.
+TEST(ReplicationTest, RecoveryRequestForLivePrimaryIsRefused) {
+  Cluster c = NewReplicatedCluster("liveprimary", 1, /*with_tfs=*/true);
+  for (CellId id = 0; id < 96; ++id) {
+    ASSERT_TRUE(c.cloud->PutCell(id, Slice("v" + std::to_string(id))).ok());
+  }
+  // No snapshot: a trunk recreated empty would lose its cells for good.
+  const TrunkId t = c.cloud->TrunkOf(0);
+  const MachineId primary = c.cloud->table().machine_of_trunk(t);
+  const MachineId replica = c.cloud->table().replicas_of_trunk(t)[0];
+  ASSERT_TRUE(c.cloud->FailMachine(replica).ok());
+
+  const std::uint64_t version = c.cloud->table().version();
+  const Status s = c.cloud->RecoverMachine(primary);
+  EXPECT_TRUE(s.IsAlreadyExists()) << s.message();
+  EXPECT_EQ(c.cloud->table().version(), version);
+  EXPECT_TRUE(c.cloud->fabric().IsMachineUp(primary));
+  EXPECT_EQ(c.cloud->table().machine_of_trunk(t), primary);
+
+  for (CellId id = 0; id < 96; ++id) {
+    std::string out;
+    ASSERT_TRUE(c.cloud->GetCell(id, &out).ok()) << "cell " << id;
+    EXPECT_EQ(out, "v" + std::to_string(id));
+  }
+  EXPECT_EQ(c.cloud->recovery_stats().trunks_lost, 0u);
+}
+
+// The sweep deposes an unreachable primary only when every trunk it owns has
+// a live in-sync replica. Here its replica holder crashed first, so the
+// partitioned primary holds the only copy of a trunk: the sweep reports it
+// and leaves it alone, and healing the partition loses nothing.
+TEST(ReplicationTest, SweepRefusesToDeposeTheOnlyCopyHolder) {
+  Cluster c = NewReplicatedCluster("solecopy", 1, /*with_tfs=*/true);
+  for (CellId id = 0; id < 96; ++id) {
+    ASSERT_TRUE(c.cloud->PutCell(id, Slice("s" + std::to_string(id))).ok());
+  }
+  // Primary and replica both off the leader, which must keep probing.
+  const cloud::AddressingTable& table = c.cloud->table();
+  TrunkId t = 0;
+  while (t < table.num_slots() &&
+         (table.machine_of_trunk(t) == c.cloud->leader() ||
+          table.replicas_of_trunk(t)[0] == c.cloud->leader())) {
+    ++t;
+  }
+  ASSERT_LT(t, table.num_slots());
+  const MachineId primary = table.machine_of_trunk(t);
+  const MachineId replica = table.replicas_of_trunk(t)[0];
+  const std::vector<TrunkId> owned = table.trunks_of(primary);
+  ASSERT_TRUE(c.cloud->FailMachine(replica).ok());
+  std::vector<MachineId> rest;
+  for (MachineId m = 0; m <= c.cloud->client_id(); ++m) {
+    if (m != primary) rest.push_back(m);
+  }
+  c.injector->Partition({primary}, rest);
+
+  cloud::MemoryCloud::SweepReport report;
+  c.cloud->DetectAndRecover(&report);
+  bool refused = false;
+  for (const auto& [machine, status] : report.failed) {
+    if (machine != primary) continue;
+    refused = true;
+    EXPECT_TRUE(status.IsUnavailable()) << status.message();
+  }
+  EXPECT_TRUE(refused) << "sweep did not report the sole-copy holder";
+  EXPECT_TRUE(c.cloud->fabric().IsMachineUp(primary));
+  for (TrunkId u : owned) {
+    EXPECT_EQ(table.machine_of_trunk(u), primary) << "trunk " << u;
+  }
+
+  c.injector->ClearPartitions();
+  cloud::MemoryCloud::SweepReport healed;
+  c.cloud->DetectAndRecover(&healed);
+  EXPECT_TRUE(healed.failed.empty());
+  for (CellId id = 0; id < 96; ++id) {
+    std::string out;
+    ASSERT_TRUE(c.cloud->GetCell(id, &out).ok()) << "cell " << id;
+    EXPECT_EQ(out, "s" + std::to_string(id));
+  }
+  EXPECT_EQ(c.cloud->recovery_stats().trunks_lost, 0u);
+}
+
 TEST(ReplicationTest, ReReplicationRestoresTheFactor) {
   Cluster c = NewReplicatedCluster("rerepl", 2, /*with_tfs=*/false);
   for (CellId id = 0; id < 64; ++id) {
