@@ -8,6 +8,8 @@
 // superstep execution (§5.3) and to verify that the parallel run produces
 // bit-identical ranks. Note the wall-clock speedup only manifests on a
 // host with enough cores; the bit-identical check holds everywhere.
+// Every JSON row also carries the wall milliseconds of the superstep's
+// compute, drain and finalize phases (BspEngine::RunStats).
 
 #include <cmath>
 #include <cstdio>
@@ -20,6 +22,14 @@
 
 namespace trinity {
 namespace {
+
+/// Wall time of the superstep's three barrier phases, summed over the run.
+void AddPhaseTimes(bench::JsonEmitter* json,
+                   const compute::BspEngine::RunStats& stats) {
+  json->Add("compute_ms", stats.compute_ms);
+  json->Add("drain_ms", stats.drain_ms);
+  json->Add("finalize_ms", stats.finalize_ms);
+}
 
 void Run(bench::JsonEmitter* json) {
   bench::PrintHeader("Figure 12(b)",
@@ -54,6 +64,7 @@ void Run(bench::JsonEmitter* json) {
       json->Add("messages", result.stats.messages);
       json->Add("transfers", result.stats.transfers);
       json->Add("bytes", result.stats.bytes);
+      AddPhaseTimes(json, result.stats);
     }
     std::printf("\n");
   }
@@ -121,6 +132,7 @@ void RunThreadSweep(bench::JsonEmitter* json) {
     json->Add("messages", result.stats.messages);
     json->Add("bytes", result.stats.bytes);
     json->Add("ranks_bit_identical", identical);
+    AddPhaseTimes(json, result.stats);
     if (threads != 1) {
       json->Add("speedup_vs_1_thread", baseline_wall / wall_seconds);
       std::printf("(speedup with 8 threads: %.2fx; expect >3x on an 8-core "

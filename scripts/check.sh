@@ -20,16 +20,27 @@ if [[ "${1:-}" == "--chaos-sweep" ]]; then
   # (default 10). Each iteration exports TRINITY_CHAOS_SEED_OFFSET=i*1000;
   # every chaos test derives its seeds as base + offset, so each pass runs
   # the same assertions against a disjoint, fully deterministic fault
-  # schedule. Offset 0 is the range the default ctest run uses.
+  # schedule. Offset 0 is the range the default ctest run uses. Every offset
+  # runs even after one fails; the failing offsets are listed at the end and
+  # make the exit status nonzero.
   SWEEP="${2:-10}"
   cmake --preset sanitize
   cmake --build --preset sanitize -j "$(nproc)"
   cd build-sanitize
+  FAILED=()
   for ((i = 0; i < SWEEP; ++i)); do
     echo "=== chaos sweep $((i + 1))/${SWEEP}: TRINITY_CHAOS_SEED_OFFSET=$((i * 1000)) ==="
-    ASAN_OPTIONS=detect_leaks=0 TRINITY_CHAOS_SEED_OFFSET=$((i * 1000)) \
-      ctest --output-on-failure -j "$(nproc)" -L 'chaos|serving|txn|coldtier'
+    if ! ASAN_OPTIONS=detect_leaks=0 TRINITY_CHAOS_SEED_OFFSET=$((i * 1000)) \
+      ctest --output-on-failure -j "$(nproc)" -L 'chaos|serving|txn|coldtier'; then
+      echo "=== chaos sweep: offset $((i * 1000)) FAILED ==="
+      FAILED+=("$((i * 1000))")
+    fi
   done
+  if ((${#FAILED[@]} > 0)); then
+    echo "chaos sweep: failing offsets: ${FAILED[*]}"
+    exit 1
+  fi
+  echo "chaos sweep: all ${SWEEP} offsets passed"
   exit 0
 fi
 

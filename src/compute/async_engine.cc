@@ -126,7 +126,7 @@ void AsyncEngine::FlushOutboxes() {
       if (outbox.empty()) continue;
       // A batch dropped on a dead endpoint is counted by the fabric; the
       // next sweep's health check surfaces the crash itself.
-      fabric.SendPacked(src, dst, run_.handler, Slice(outbox.bytes),
+      fabric.SendPacked(src, dst, run_.handler, outbox.payload(),
                         outbox.count, &run_.ctx);
       outbox.Clear();
     }

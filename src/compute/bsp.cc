@@ -1,8 +1,12 @@
 #include "compute/bsp.h"
 
 #include <algorithm>
+#include <numeric>
 #include <thread>
+#include <unordered_set>
 
+#include "common/hash.h"
+#include "common/histogram.h"
 #include "common/logging.h"
 #include "common/serializer.h"
 
@@ -57,8 +61,12 @@ BspEngine::BspEngine(graph::Graph* graph, Options options)
   if (threads < 1) threads = 1;
   pool_ = std::make_unique<ThreadPool>(threads);
   for (MachineId m = 0; m < num_slaves_; ++m) {
-    machines_[m].vertices = graph_->LocalNodes(m);
-    machines_[m].outboxes.resize(num_slaves_);
+    MachineState& state = machines_[m];
+    state.slot_table.assign(16, kNoSlot);
+    for (CellId v : graph_->LocalNodes(m)) AddSlot(&state, v);
+    state.num_vertices = state.vertices.size();
+    state.inbox_begin.assign(state.num_vertices + 1, 0);
+    state.outboxes.resize(num_slaves_);
     cloud->fabric().RegisterAsyncHandler(
         m, run_.handler, [this, m](MachineId, Slice payload) {
           ReceivePacked(m, payload);
@@ -86,103 +94,144 @@ void BspEngine::SendMessage(MachineId src, CellId target, Slice message) {
   machines_[src].outboxes[OwnerOf(target)].Add(target, message);
 }
 
-void BspEngine::DeliverLocal(MachineId machine, CellId target,
-                             Slice message) {
-  MachineState& state = machines_[machine];
-  if (options_.combiner) {
-    auto it = state.next_acc.find(target);
-    if (it == state.next_acc.end()) {
-      state.next_acc.emplace(target, message.ToString());
-      state.next_acc_order.push_back(target);
-    } else {
-      options_.combiner(&it->second, message);
-    }
-  } else {
-    state.next_records.push_back(
-        InboxRecord{target, state.next_arena.size(),
-                    static_cast<std::uint32_t>(message.size())});
-    state.next_arena.append(message.data(), message.size());
+inline std::uint32_t BspEngine::FindSlot(const MachineState& state,
+                                        CellId id) {
+  const std::size_t mask = state.slot_table.size() - 1;
+  for (std::size_t i = Mix64(id) & mask;; i = (i + 1) & mask) {
+    const std::uint32_t slot = state.slot_table[i];
+    if (slot == kNoSlot || state.vertices[slot] == id) return slot;
   }
+}
+
+std::uint32_t BspEngine::AddSlot(MachineState* state, CellId id) {
+  const auto slot = static_cast<std::uint32_t>(state->vertices.size());
+  state->vertices.push_back(id);
+  state->values.emplace_back();
+  state->has_value.push_back(0);
+  state->halted.push_back(0);
+  state->acc.emplace_back();
+  state->touched.push_back(0);
+  std::vector<std::uint32_t>& table = state->slot_table;
+  std::uint32_t first = slot;
+  if (2 * (std::size_t{slot} + 1) > table.size()) {
+    // Double and rehash every slot, so the table stays at most half full.
+    table.assign(2 * table.size(), kNoSlot);
+    first = 0;
+  }
+  const std::size_t mask = table.size() - 1;
+  for (std::uint32_t s = first; s <= slot; ++s) {
+    std::size_t i = Mix64(state->vertices[s]) & mask;
+    while (table[i] != kNoSlot) i = (i + 1) & mask;
+    table[i] = s;
+  }
+  return slot;
+}
+
+void BspEngine::BuildInbox(MachineState* state) {
+  // Stable counting sort: count per slot, prefix-sum to group ends, then
+  // place back to front so each slot keeps its arrival order.
+  std::vector<std::uint32_t>& begin = state->inbox_begin;
+  const std::size_t slots = state->vertices.size();
+  begin.assign(slots + 1, 0);
+  for (const StagedMessage& m : state->staged) ++begin[m.slot];
+  for (std::size_t s = 1; s < slots; ++s) begin[s] += begin[s - 1];
+  begin[slots] = static_cast<std::uint32_t>(state->staged.size());
+  state->inbox.resize(state->staged.size());
+  for (auto it = state->staged.rbegin(); it != state->staged.rend(); ++it) {
+    state->inbox[--begin[it->slot]] =
+        state->touched[it->slot]
+            ? Slice(state->acc[it->slot])
+            : Slice(state->arena.data() + it->offset, it->len);
+  }
+  for (const StagedMessage& m : state->staged) state->touched[m.slot] = 0;
+  state->staged.clear();
 }
 
 void BspEngine::ReceivePacked(MachineId machine, Slice payload) {
   // Handlers fire on the driver thread while outboxes drain in canonical
-  // order; just stash the packed bytes. Unpacking (and the combiner fold)
-  // is per-destination work and runs in parallel inside FinalizeInboxes.
-  machines_[machine].pending.emplace_back(payload.ToString());
+  // order; keep a slice of the sender's outbox. Unpacking (and the combiner
+  // fold) is per-destination work and runs in parallel in FinalizeInboxes.
+  machines_[machine].pending.push_back(payload);
 }
 
 void BspEngine::FlushOutboxes() {
   net::Fabric& fabric = graph_->cloud()->fabric();
   // Canonical drain order — src asc, dst asc, arrival order within a pair —
   // is what makes parallel and sequential runs deliver identical inboxes.
+  // The outboxes stay intact until FinalizeInboxes has unpacked them.
   for (MachineId src = 0; src < num_slaves_; ++src) {
     for (MachineId dst = 0; dst < num_slaves_; ++dst) {
-      Outbox& outbox = machines_[src].outboxes[dst];
+      const Outbox& outbox = machines_[src].outboxes[dst];
       if (outbox.empty()) continue;
       if (src == dst) {
         // Local messages bypass the fabric and its meters — the superstep
         // MeterScope already covered this work.
-        ReceivePacked(src, Slice(outbox.bytes));
+        ReceivePacked(src, outbox.payload());
       } else {
         // Dead endpoints drop the batch inside the fabric (counted); the
         // post-superstep health check surfaces the crash.
-        fabric.SendPacked(src, dst, run_.handler, Slice(outbox.bytes),
+        fabric.SendPacked(src, dst, run_.handler, outbox.payload(),
                           outbox.count, &run_.ctx);
       }
-      outbox.Clear();
     }
   }
 }
 
 void BspEngine::FinalizeInboxes(bool* any_messages) {
   // Second parallel half of the barrier: each destination unpacks its own
-  // pending payloads, folds combiners, and sorts its inbox — no machine
-  // touches another's staging state, so the fan-out is lock-free.
+  // pending payloads, then folds (combiner) or stages and counting-sorts
+  // (no combiner) them by slot. No machine touches another's state, and
+  // the outboxes are only read, so the fan-out is lock-free.
   pool_->ParallelFor(num_slaves_, [&](int mi) {
     MachineState& state = machines_[mi];
-    for (const std::string& payload : state.pending) {
+    const auto& combiner = options_.combiner;
+    state.arena.clear();
+    for (Slice payload : state.pending) {
       const bool ok = ForEachPackedRecord(
-          Slice(payload), [this, mi](CellId target, Slice message) {
-            DeliverLocal(mi, target, message);
+          payload, [&state, &combiner](CellId target, Slice message) {
+            std::uint32_t slot = FindSlot(state, target);
+            if (slot == kNoSlot) slot = AddSlot(&state, target);
+            if (!combiner) {
+              state.staged.push_back(StagedMessage{
+                  slot, static_cast<std::uint32_t>(message.size()),
+                  state.arena.size()});
+              state.arena.append(message.data(), message.size());
+            } else if (state.touched[slot]) {
+              combiner(&state.acc[slot], message);
+            } else {
+              state.touched[slot] = 1;
+              state.acc[slot].assign(message.data(), message.size());
+              state.staged.push_back(StagedMessage{slot, 0, 0});
+            }
           });
       if (!ok) {
         TRINITY_WARN("malformed packed BSP payload on machine %d", mi);
       }
     }
-    state.pending.clear();
-    if (options_.combiner) {
-      // Materialize the folded accumulators in first-arrival order.
-      state.next_arena.clear();
-      state.next_records.clear();
-      for (CellId target : state.next_acc_order) {
-        const std::string& acc = state.next_acc[target];
-        state.next_records.push_back(
-            InboxRecord{target, state.next_arena.size(),
-                        static_cast<std::uint32_t>(acc.size())});
-        state.next_arena.append(acc);
-      }
-      state.next_acc.clear();
-      state.next_acc_order.clear();
-    }
-    // Stable by target: each vertex's messages keep canonical arrival order.
-    std::stable_sort(state.next_records.begin(), state.next_records.end(),
-                     [](const InboxRecord& a, const InboxRecord& b) {
-                       return a.target < b.target;
-                     });
-    state.arena.swap(state.next_arena);
-    state.records.swap(state.next_records);
-    state.next_arena.clear();
-    state.next_records.clear();
+    BuildInbox(&state);
   });
   *any_messages = false;
-  for (const MachineState& state : machines_) {
-    if (!state.records.empty()) *any_messages = true;
+  for (MachineState& state : machines_) {
+    if (!state.inbox.empty()) *any_messages = true;
+    state.pending.clear();
+    for (Outbox& outbox : state.outboxes) outbox.Clear();
+  }
+}
+
+void BspEngine::DiscardMessages() {
+  for (MachineState& state : machines_) {
+    std::fill(state.inbox_begin.begin(), state.inbox_begin.end(), 0);
+    state.inbox.clear();
+    state.arena.clear();
+    state.staged.clear();
+    state.pending.clear();
+    for (Outbox& outbox : state.outboxes) outbox.Clear();
   }
 }
 
 Status BspEngine::RunSuperstep(const Program& program, int superstep,
-                               bool* all_quiet) {
+                               bool* all_quiet, RunStats* stats) {
+  Stopwatch phase;
   net::Fabric& fabric = graph_->cloud()->fabric();
   cloud::MemoryCloud* cloud = graph_->cloud();
   // Machine-level parallelism (§5.3): each simulated slave's vertex loop
@@ -198,30 +247,24 @@ Status BspEngine::RunSuperstep(const Program& program, int superstep,
     // One storage resolution per machine per superstep; vertices then read
     // trunk memory without the cloud membership mutex.
     storage::MemoryStorage* store = cloud->storage(m);
-    for (CellId v : state.vertices) {
-      auto lo = std::lower_bound(
-          state.records.begin(), state.records.end(), v,
-          [](const InboxRecord& r, CellId id) { return r.target < id; });
-      const bool has_messages =
-          lo != state.records.end() && lo->target == v;
-      const bool is_halted = state.halted.count(v) != 0;
+    for (std::size_t slot = 0; slot < state.num_vertices; ++slot) {
+      const std::uint32_t lo = state.inbox_begin[slot];
+      const std::uint32_t hi = state.inbox_begin[slot + 1];
       // A vertex runs if it has messages, or has not halted (superstep 0
       // activates everyone).
-      if (is_halted && !has_messages) continue;
+      if (state.halted[slot] && lo == hi) continue;
       state.any_active = true;
-      state.msg_scratch.clear();
-      for (auto it = lo; it != state.records.end() && it->target == v;
-           ++it) {
-        state.msg_scratch.emplace_back(state.arena.data() + it->offset,
-                                       it->len);
-      }
+      state.msg_scratch.assign(state.inbox.begin() + lo,
+                               state.inbox.begin() + hi);
+      const CellId v = state.vertices[slot];
       VertexContext ctx;
       ctx.engine_ = this;
       ctx.machine_ = m;
       ctx.vertex_ = v;
       ctx.superstep_ = superstep;
       ctx.messages_ = &state.msg_scratch;
-      ctx.value_ = &state.values[v];
+      ctx.value_ = &state.values[slot];
+      state.has_value[slot] = 1;
       ctx.aggregated_ = Slice(aggregated_);
       Status vs = graph_->VisitLocalNode(
           store, v,
@@ -244,18 +287,16 @@ Status BspEngine::RunSuperstep(const Program& program, int superstep,
                 : vs;
         return;
       }
-      if (ctx.halt_) {
-        state.halted.insert(v);
-      } else {
-        state.halted.erase(v);
-      }
+      state.halted[slot] = ctx.halt_;
     }
   });
+  stats->compute_ms += phase.ElapsedMillis();
   bool any_active = false;
   for (MachineState& state : machines_) {
     if (!state.step_status.ok()) return state.step_status;
     any_active = any_active || state.any_active;
   }
+  phase.Reset();
   // Second half of the barrier: drain the packed outboxes through the
   // fabric (O(machines²) sends).
   FlushOutboxes();
@@ -276,8 +317,11 @@ Status BspEngine::RunSuperstep(const Program& program, int superstep,
       state.has_partial_aggregate = false;
     }
   }
+  stats->drain_ms += phase.ElapsedMillis();
+  phase.Reset();
   bool any_messages = false;
   FinalizeInboxes(&any_messages);
+  stats->finalize_ms += phase.ElapsedMillis();
   *all_quiet = !any_messages && !any_active;
   return Status::OK();
 }
@@ -287,27 +331,20 @@ Status BspEngine::Run(const Program& program, RunStats* stats) {
   // A previous run aborted by a crash can leave messages stranded in our
   // inboxes and outboxes; the first barrier of this run would deliver them
   // and corrupt superstep sums. Discard them.
-  for (MachineState& state : machines_) {
-    state.arena.clear();
-    state.records.clear();
-    state.pending.clear();
-    state.next_arena.clear();
-    state.next_records.clear();
-    state.next_acc.clear();
-    state.next_acc_order.clear();
-    for (Outbox& outbox : state.outboxes) outbox.Clear();
-  }
+  DiscardMessages();
   int superstep = 0;
   if (options_.checkpoint_interval > 0 && options_.tfs != nullptr) {
     Status rs = TryRestoreCheckpoint(&superstep);
     if (rs.ok() && superstep > 0) stats->restored_from_checkpoint = true;
+    // A torn checkpoint may have staged part of an inbox.
+    if (!rs.ok()) DiscardMessages();
   }
   for (; superstep < options_.superstep_limit; ++superstep) {
     run_.meters.Reset();
     Status healthy = CheckClusterHealthy();
     if (!healthy.ok()) return healthy;
     bool all_quiet = false;
-    Status s = RunSuperstep(program, superstep, &all_quiet);
+    Status s = RunSuperstep(program, superstep, &all_quiet, stats);
     if (!s.ok()) return s;
     // A machine lost mid-superstep dropped its vertices' work and any
     // messages in flight to it; surface the failure at the barrier rather
@@ -336,71 +373,62 @@ Status BspEngine::Run(const Program& program, RunStats* stats) {
 Status BspEngine::GetValue(CellId vertex, std::string* out) const {
   const MachineId m = OwnerOf(vertex);
   if (m < 0 || m >= num_slaves_) return Status::NotFound("no such vertex");
-  auto it = machines_[m].values.find(vertex);
-  if (it == machines_[m].values.end()) {
+  const MachineState& state = machines_[m];
+  const std::uint32_t slot = FindSlot(state, vertex);
+  if (slot == kNoSlot || !state.has_value[slot]) {
     return Status::NotFound("no value for vertex");
   }
-  *out = it->second;
+  *out = state.values[slot];
   return Status::OK();
 }
 
 void BspEngine::ForEachValue(
     const std::function<void(CellId, const std::string&)>& fn) const {
   for (const MachineState& state : machines_) {
-    for (const auto& [vertex, value] : state.values) {
-      fn(vertex, value);
+    for (std::size_t slot = 0; slot < state.vertices.size(); ++slot) {
+      if (state.has_value[slot]) fn(state.vertices[slot], state.values[slot]);
     }
   }
 }
 
 Status BspEngine::WriteCheckpoint(int superstep) {
-  // Every container is serialized in sorted vertex order so two checkpoints
-  // of identical state are byte-identical (unordered_map iteration order is
-  // not deterministic across processes).
+  // Every section lists ids in ascending order, so two checkpoints of
+  // identical state are byte-identical whatever the slot order.
   BinaryWriter writer;
   writer.PutI32(superstep);
   writer.PutI32(num_slaves_);
-  std::vector<CellId> ids;
+  std::vector<std::uint32_t> order;
   for (const MachineState& state : machines_) {
-    ids.clear();
-    ids.reserve(state.values.size());
-    for (const auto& [vertex, value] : state.values) ids.push_back(vertex);
-    std::sort(ids.begin(), ids.end());
-    writer.PutU32(static_cast<std::uint32_t>(ids.size()));
-    for (CellId v : ids) {
-      writer.PutU64(v);
-      writer.PutString(state.values.at(v));
+    order.resize(state.vertices.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&state](std::uint32_t a, std::uint32_t b) {
+                return state.vertices[a] < state.vertices[b];
+              });
+    std::uint32_t values = 0, halted = 0, groups = 0;
+    for (std::uint32_t s : order) {
+      values += state.has_value[s];
+      halted += state.halted[s];
+      groups += state.inbox_begin[s] != state.inbox_begin[s + 1];
     }
-    ids.assign(state.halted.begin(), state.halted.end());
-    std::sort(ids.begin(), ids.end());
-    writer.PutU32(static_cast<std::uint32_t>(ids.size()));
-    for (CellId v : ids) writer.PutU64(v);
-    // Inbox records are sorted by target, so the groups stream out in
-    // ascending vertex order — already deterministic.
-    std::uint32_t groups = 0;
-    for (std::size_t i = 0; i < state.records.size();) {
-      std::size_t j = i;
-      while (j < state.records.size() &&
-             state.records[j].target == state.records[i].target) {
-        ++j;
-      }
-      ++groups;
-      i = j;
+    writer.PutU32(values);
+    for (std::uint32_t s : order) {
+      if (!state.has_value[s]) continue;
+      writer.PutU64(state.vertices[s]);
+      writer.PutString(state.values[s]);
+    }
+    writer.PutU32(halted);
+    for (std::uint32_t s : order) {
+      if (state.halted[s]) writer.PutU64(state.vertices[s]);
     }
     writer.PutU32(groups);
-    for (std::size_t i = 0; i < state.records.size();) {
-      const CellId target = state.records[i].target;
-      std::size_t j = i;
-      while (j < state.records.size() && state.records[j].target == target) {
-        ++j;
-      }
-      writer.PutU64(target);
-      writer.PutU32(static_cast<std::uint32_t>(j - i));
-      for (std::size_t k = i; k < j; ++k) {
-        writer.PutBytes(Slice(state.arena.data() + state.records[k].offset,
-                              state.records[k].len));
-      }
-      i = j;
+    for (std::uint32_t s : order) {
+      const std::uint32_t lo = state.inbox_begin[s];
+      const std::uint32_t hi = state.inbox_begin[s + 1];
+      if (lo == hi) continue;
+      writer.PutU64(state.vertices[s]);
+      writer.PutU32(hi - lo);
+      for (std::uint32_t k = lo; k < hi; ++k) writer.PutBytes(state.inbox[k]);
     }
   }
   return options_.tfs->WriteFile(options_.checkpoint_prefix + "/state",
@@ -418,26 +446,31 @@ Status BspEngine::TryRestoreCheckpoint(int* superstep) {
       slaves != num_slaves_) {
     return Status::Corruption("checkpoint header mismatch");
   }
+  // Run has discarded every message in flight; reset the vertex state.
   for (MachineState& state : machines_) {
-    state.values.clear();
-    state.halted.clear();
-    state.arena.clear();
-    state.records.clear();
-    state.pending.clear();
-    state.next_arena.clear();
-    state.next_records.clear();
-    state.next_acc.clear();
-    state.next_acc_order.clear();
+    for (std::string& value : state.values) value.clear();
+    std::fill(state.has_value.begin(), state.has_value.end(), 0);
+    std::fill(state.halted.begin(), state.halted.end(), 0);
   }
   // Each entry re-buckets through OwnerOf rather than landing on the
   // machine whose section it was written in: trunk ownership may have
   // changed between checkpoint and restore (a failover promoted replicas
   // onto survivors), and the restored state must follow the vertices to
   // their new owners. A target's messages sit contiguously in exactly one
-  // section, so appending them in file order keeps their canonical arrival
-  // order — the final stable sort then reproduces the exact inbox a
-  // crash-free run would have had, which is what keeps restored runs
-  // bit-identical.
+  // section, so staging them in file order keeps their canonical arrival
+  // order — the counting sort then rebuilds the exact inbox a crash-free
+  // run would have had, which is what keeps restored runs bit-identical.
+  MachineState* state = nullptr;
+  std::uint32_t slot = 0;
+  // Points state/slot at v's slot on its current owner (false: no owner).
+  const auto locate = [&](CellId v) {
+    const MachineId owner = OwnerOf(v);
+    if (owner < 0 || owner >= num_slaves_) return false;
+    state = &machines_[owner];
+    slot = FindSlot(*state, v);
+    if (slot == kNoSlot) slot = AddSlot(state, v);
+    return true;
+  };
   for (std::int32_t section = 0; section < slaves; ++section) {
     std::uint32_t count = 0;
     if (!reader.GetU32(&count)) return Status::Corruption("ckpt values");
@@ -447,21 +480,17 @@ Status BspEngine::TryRestoreCheckpoint(int* superstep) {
       if (!reader.GetU64(&v) || !reader.GetString(&value)) {
         return Status::Corruption("ckpt value entry");
       }
-      const MachineId owner = OwnerOf(v);
-      if (owner < 0 || owner >= num_slaves_) {
-        return Status::Corruption("ckpt vertex without owner");
-      }
-      machines_[owner].values.emplace(v, std::move(value));
+      if (!locate(v)) return Status::Corruption("ckpt vertex without owner");
+      if (state->has_value[slot]) continue;
+      state->values[slot] = std::move(value);
+      state->has_value[slot] = 1;
     }
     if (!reader.GetU32(&count)) return Status::Corruption("ckpt halted");
     for (std::uint32_t i = 0; i < count; ++i) {
       CellId v = 0;
       if (!reader.GetU64(&v)) return Status::Corruption("ckpt halted entry");
-      const MachineId owner = OwnerOf(v);
-      if (owner < 0 || owner >= num_slaves_) {
-        return Status::Corruption("ckpt vertex without owner");
-      }
-      machines_[owner].halted.insert(v);
+      if (!locate(v)) return Status::Corruption("ckpt vertex without owner");
+      state->halted[slot] = 1;
     }
     if (!reader.GetU32(&count)) return Status::Corruption("ckpt inbox");
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -470,18 +499,14 @@ Status BspEngine::TryRestoreCheckpoint(int* superstep) {
       if (!reader.GetU64(&v) || !reader.GetU32(&msgs)) {
         return Status::Corruption("ckpt inbox entry");
       }
-      const MachineId owner = OwnerOf(v);
-      if (owner < 0 || owner >= num_slaves_) {
-        return Status::Corruption("ckpt vertex without owner");
-      }
-      MachineState& dest = machines_[owner];
+      if (!locate(v)) return Status::Corruption("ckpt vertex without owner");
       for (std::uint32_t k = 0; k < msgs; ++k) {
         Slice msg;
         if (!reader.GetBytes(&msg)) return Status::Corruption("ckpt msg");
-        dest.records.push_back(
-            InboxRecord{v, dest.arena.size(),
-                        static_cast<std::uint32_t>(msg.size())});
-        dest.arena.append(msg.data(), msg.size());
+        state->staged.push_back(StagedMessage{
+            slot, static_cast<std::uint32_t>(msg.size()),
+            state->arena.size()});
+        state->arena.append(msg.data(), msg.size());
       }
     }
   }
@@ -494,7 +519,9 @@ Status BspEngine::TryRestoreCheckpoint(int* superstep) {
   // semantics of the superstep loop that follows.
   std::vector<CellId> restored;
   for (const MachineState& state : machines_) {
-    for (const auto& [v, value] : state.values) restored.push_back(v);
+    for (std::size_t slot = 0; slot < state.vertices.size(); ++slot) {
+      if (state.has_value[slot]) restored.push_back(state.vertices[slot]);
+    }
   }
   std::sort(restored.begin(), restored.end());
   if (!restored.empty()) {
@@ -503,31 +530,21 @@ Status BspEngine::TryRestoreCheckpoint(int* superstep) {
     if (cloud->MultiContains(cloud->client_id(), restored, &present).ok()) {
       std::unordered_set<CellId> gone;
       for (std::size_t i = 0; i < restored.size(); ++i) {
-        if (present[i].status.IsNotFound()) gone.insert(restored[i]);
+        if (!present[i].status.IsNotFound()) continue;
+        gone.insert(restored[i]);
+        locate(restored[i]);
+        state->values[slot].clear();
+        state->has_value[slot] = 0;
+        state->halted[slot] = 0;
       }
-      if (!gone.empty()) {
-        for (MachineState& state : machines_) {
-          for (CellId v : gone) {
-            state.values.erase(v);
-            state.halted.erase(v);
-          }
-          state.records.erase(
-              std::remove_if(state.records.begin(), state.records.end(),
-                             [&](const InboxRecord& r) {
-                               return gone.count(r.target) != 0;
-                             }),
-              state.records.end());
-        }
+      for (MachineState& m : machines_) {
+        std::erase_if(m.staged, [&](const StagedMessage& msg) {
+          return gone.count(m.vertices[msg.slot]) != 0;
+        });
       }
     }
   }
-  for (MachineState& state : machines_) {
-    // Normalize so the vertex loop's binary search always holds.
-    std::stable_sort(state.records.begin(), state.records.end(),
-                     [](const InboxRecord& a, const InboxRecord& b) {
-                       return a.target < b.target;
-                     });
-  }
+  for (MachineState& state : machines_) BuildInbox(&state);
   *superstep = step;
   return Status::OK();
 }

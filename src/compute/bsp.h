@@ -5,8 +5,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -31,9 +29,11 @@ namespace trinity::compute {
 /// Vertex sends append to per-(src,dst) outbox buffers that reach the fabric
 /// as one packed payload per pair at the barrier (§4.2 message packing done
 /// explicitly), so fabric-mutex traffic is O(machines²) per superstep, not
-/// O(messages). Inboxes are merged at the barrier in canonical (source
-/// machine, arrival order) order, which makes a parallel run bit-identical
-/// to a sequential one for deterministic programs — see
+/// O(messages). The receiver keeps slices of the senders' outboxes (no copy)
+/// and unpacks them into dense per-vertex slots: folded in place with a
+/// combiner, counting-sorted by slot without one. Inboxes are merged in
+/// canonical (source machine, arrival order) order, which makes a parallel
+/// run bit-identical to a sequential one for deterministic programs — see
 /// docs/parallel_execution.md.
 ///
 /// The engine reports both measured meter totals and the CostModel's modeled
@@ -83,7 +83,7 @@ class BspEngine {
     const CellId* in() const { return in_; }
     std::size_t in_count() const { return in_count_; }
     /// Combined/collected messages delivered to this vertex this superstep.
-    /// Slices point into the machine's inbox arena; they are valid only for
+    /// Slices point into the machine's inbox buffers; they are valid only for
     /// the duration of the vertex program.
     const std::vector<Slice>& messages() const { return *messages_; }
     /// Mutable per-vertex state ("local variables" in Fig 10).
@@ -130,6 +130,12 @@ class BspEngine {
     std::uint64_t bytes = 0;
     int checkpoints_written = 0;
     bool restored_from_checkpoint = false;
+    /// Wall milliseconds summed over supersteps, per barrier phase: the
+    /// parallel vertex loops, the serial outbox drain (with the aggregator
+    /// fold), and the parallel inbox build.
+    double compute_ms = 0;
+    double drain_ms = 0;
+    double finalize_ms = 0;
   };
 
   BspEngine(graph::Graph* graph, Options options);
@@ -153,37 +159,50 @@ class BspEngine {
   const std::string& aggregated() const { return aggregated_; }
 
  private:
-  /// One delivered message: `len` bytes at `offset` into the inbox arena,
-  /// destined for vertex `target`.
-  struct InboxRecord {
-    CellId target;
-    std::uint64_t offset;
+  /// Marks an empty slot-table entry.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// A message for the next inbox: `len` bytes at `offset` in the arena,
+  /// or, for a touched slot (combiner mode), that slot's accumulator.
+  struct StagedMessage {
+    std::uint32_t slot;
     std::uint32_t len;
+    std::uint64_t offset;
   };
 
+  /// A machine's state, dense by slot: slot i is vertices[i]. The first
+  /// num_vertices slots are its vertices in LocalNodes order, which fixes
+  /// the vertex loop's order and with it send, arrival and fold order. An
+  /// id with no vertex here that receives a message or a restored value
+  /// gets a later slot: it keeps state and messages but never runs.
   struct MachineState {
     std::vector<CellId> vertices;
-    std::unordered_map<CellId, std::string> values;
-    std::unordered_set<CellId> halted;
+    std::size_t num_vertices = 0;
+    /// CellId -> slot, open addressing with linear probing, at most half
+    /// full. Only receives and restores look ids up.
+    std::vector<std::uint32_t> slot_table;
 
-    /// Current-superstep inbox: one contiguous arena plus records sorted by
-    /// target (stable, so each vertex sees its messages in canonical
-    /// arrival order). No per-message heap allocations.
+    std::vector<std::string> values;
+    /// has_value[s]: the slot ran or was restored (GetValue and
+    /// ForEachValue skip vertices that never ran).
+    std::vector<std::uint8_t> has_value;
+    std::vector<std::uint8_t> halted;
+
+    /// Current inbox: slot s's messages, in canonical (source machine asc,
+    /// arrival order) order, are inbox[inbox_begin[s], inbox_begin[s + 1]),
+    /// slices of `arena` or `acc` that hold until the next barrier.
+    std::vector<std::uint32_t> inbox_begin;
+    std::vector<Slice> inbox;
     std::string arena;
-    std::vector<InboxRecord> records;
+    /// Combiner mode: slot s's folded message, valid while touched[s].
+    std::vector<std::string> acc;
+    std::vector<std::uint8_t> touched;
+    /// Next inbox in arrival order, before the counting sort by slot.
+    std::vector<StagedMessage> staged;
 
-    /// Packed payloads received at the barrier, in canonical (source
-    /// machine asc, arrival order) order. Unpacking them is per-destination
-    /// work, so it is deferred to the parallel half of FinalizeInboxes.
-    std::vector<std::string> pending;
-
-    /// Next-superstep staging, filled while unpacking `pending`.
-    std::string next_arena;
-    std::vector<InboxRecord> next_records;
-    /// Combiner mode folds into one accumulator per target instead;
-    /// next_acc_order remembers first-arrival order for determinism.
-    std::unordered_map<CellId, std::string> next_acc;
-    std::vector<CellId> next_acc_order;
+    /// Packed payloads received at the barrier in canonical order: slices
+    /// of the senders' outboxes, cleared together after FinalizeInboxes.
+    std::vector<Slice> pending;
 
     /// Per-destination outboxes. Only this machine's worker thread appends
     /// during a superstep; the barrier drains them sequentially.
@@ -204,6 +223,15 @@ class BspEngine {
     bool any_active = false;
   };
 
+  /// Slot of `id` on `state`, or kNoSlot.
+  static std::uint32_t FindSlot(const MachineState& state, CellId id);
+  /// Appends a slot for `id` (the constructor's vertices, then the rare
+  /// never-running ids) and enters it into the slot table.
+  static std::uint32_t AddSlot(MachineState* state, CellId id);
+  /// Counting-sorts `staged` by slot into the inbox (stable, so each slot
+  /// keeps canonical arrival order) and resets the combiner's touched flags.
+  static void BuildInbox(MachineState* state);
+
   /// Owner machine of a vertex (lock-free snapshot of the addressing table
   /// taken at engine construction; BSP runs assume stable membership).
   MachineId OwnerOf(CellId vertex) const;
@@ -214,21 +242,24 @@ class BspEngine {
   Status CheckClusterHealthy() const;
   /// Appends the message to machine src's outbox toward the target's owner.
   void SendMessage(MachineId src, CellId target, Slice message);
-  /// Stages one message into machine's next-superstep inbox (barrier only).
-  void DeliverLocal(MachineId machine, CellId target, Slice message);
-  /// Stashes one packed payload for machine (fabric handler; unpacked later
+  /// Keeps one packed payload for machine (fabric handler; unpacked later
   /// by FinalizeInboxes).
   void ReceivePacked(MachineId machine, Slice payload);
   /// Runs the per-machine vertex loops in parallel, drains the outboxes
-  /// through the fabric, folds aggregates and swaps inboxes.
+  /// through the fabric, folds aggregates and builds the next inboxes.
   Status RunSuperstep(const Program& program, int superstep,
-                      bool* all_quiet);
-  /// Drains every (src,dst) outbox: local pairs stage directly, remote
-  /// pairs go through Fabric::SendPacked. Canonical order: src asc, dst asc.
+                      bool* all_quiet, RunStats* stats);
+  /// Drains every (src,dst) outbox: local pairs go straight to the
+  /// receiver, remote pairs through Fabric::SendPacked. Canonical order:
+  /// src asc, dst asc.
   void FlushOutboxes();
   /// Unpacks pending payloads (in parallel, one worker per destination),
-  /// sorts staged records by target, and swaps them in as the new inbox.
+  /// folds or counting-sorts them by slot into the new inboxes, then clears
+  /// the pending slices and the outboxes they point into.
   void FinalizeInboxes(bool* any_messages);
+  /// Drops every message in flight: outboxes, pending payloads and inboxes
+  /// (a run aborted by a crash strands some).
+  void DiscardMessages();
   Status WriteCheckpoint(int superstep);
   Status TryRestoreCheckpoint(int* superstep);
 

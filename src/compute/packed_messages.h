@@ -49,21 +49,38 @@ inline bool ForEachPackedRecord(Slice payload, const Fn& fn) {
 }
 
 /// One machine's outgoing buffer toward a single destination machine.
-/// Append-only during a superstep (touched by exactly one worker thread),
-/// flushed and cleared at the barrier.
-struct Outbox {
-  std::string bytes;
+/// Append-only during a superstep (touched by exactly one worker thread) and
+/// flushed at the barrier; a receiver may keep slices into payload() until
+/// the owner clears it. The buffer keeps its capacity across Clear(), so a
+/// steady-state Add is two memcpys into space already there.
+class Outbox {
+ public:
   std::uint64_t count = 0;
 
   void Add(CellId target, Slice msg) {
-    AppendPackedRecord(&bytes, target, msg);
+    const std::uint32_t len = static_cast<std::uint32_t>(msg.size());
+    const std::size_t end = used_ + 12 + len;
+    // std::string grows its capacity geometrically; resize() zero-fills
+    // only the bytes up to `end`, so untouched capacity stays unmapped.
+    if (end > buf_.size()) buf_.resize(end);
+    char* record = buf_.data() + used_;
+    std::memcpy(record, &target, 8);
+    std::memcpy(record + 8, &len, 4);
+    if (len != 0) std::memcpy(record + 12, msg.data(), len);
+    used_ = end;
     ++count;
   }
+  /// The packed records appended since the last Clear().
+  Slice payload() const { return Slice(buf_.data(), used_); }
   bool empty() const { return count == 0; }
   void Clear() {
-    bytes.clear();
+    used_ = 0;
     count = 0;
   }
+
+ private:
+  std::string buf_;
+  std::size_t used_ = 0;
 };
 
 }  // namespace trinity::compute

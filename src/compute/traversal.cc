@@ -186,7 +186,7 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
       for (MachineId dst = 0; dst < num_slaves_; ++dst) {
         Outbox& outbox = rounds[src].outboxes[dst];
         if (outbox.empty()) continue;
-        fabric.SendPacked(src, dst, run.handler, Slice(outbox.bytes),
+        fabric.SendPacked(src, dst, run.handler, outbox.payload(),
                           outbox.count, &run.ctx);
         outbox.Clear();
       }

@@ -615,10 +615,26 @@ TEST_P(ColdTierChaosTest, ChurnConservesCellsAcrossCrashes) {
     for (std::uint64_t k = 0; k < degree; ++k) out.push_back(rng.Uniform(4096));
     return SortedNode({}, out);
   };
+  // Crashes are scheduled by op index, not drawn: every seed gets exactly
+  // kCrashes of them, spread evenly through the churn (the last one right
+  // before the audit).
+  constexpr int kOps = 1200;
+  constexpr int kCrashes = 8;
   int crashes = 0;
-  for (int op = 0; op < 1200; ++op) {
+  for (int op = 0; op < kOps; ++op) {
+    if (op % (kOps / kCrashes) == kOps / kCrashes - 1) {
+      if (rng.Bernoulli(0.5)) {
+        ASSERT_TRUE(cloud->SaveSnapshot().ok());
+      }
+      const MachineId victim = static_cast<MachineId>(rng.Uniform(4));
+      ASSERT_TRUE(cloud->FailMachine(victim).ok());
+      ASSERT_TRUE(cloud->RecoverMachine(victim).ok());
+      ASSERT_TRUE(cloud->RestartMachine(victim).ok());
+      ++crashes;
+      continue;
+    }
     const CellId id = rng.Uniform(192);
-    switch (rng.Uniform(6)) {
+    switch (rng.Uniform(5)) {
       case 0: {
         const std::string payload = random_payload(id);
         if (cloud->AddCell(id, Slice(payload)).ok()) {
@@ -665,21 +681,9 @@ TEST_P(ColdTierChaosTest, ChurnConservesCellsAcrossCrashes) {
         }
         break;
       }
-      case 5: {
-        if (op % 89 != 0) break;
-        if (rng.Bernoulli(0.5)) {
-          ASSERT_TRUE(cloud->SaveSnapshot().ok());
-        }
-        const MachineId victim = static_cast<MachineId>(rng.Uniform(4));
-        ASSERT_TRUE(cloud->FailMachine(victim).ok());
-        ASSERT_TRUE(cloud->RecoverMachine(victim).ok());
-        ASSERT_TRUE(cloud->RestartMachine(victim).ok());
-        ++crashes;
-        break;
-      }
     }
   }
-  ASSERT_GT(crashes, 0);
+  ASSERT_EQ(crashes, kCrashes);
   // The churn must actually have exercised the hierarchy.
   const auto stats = cloud->AggregateTrunkStats();
   EXPECT_GT(stats.cells_evicted, 0u) << "budget never triggered eviction";

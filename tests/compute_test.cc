@@ -12,6 +12,7 @@
 #include <set>
 
 #include "algos/pagerank.h"
+#include "algos/wcc.h"
 #include "common/hash.h"
 #include "compute/async_engine.h"
 #include "compute/bsp.h"
@@ -19,6 +20,7 @@
 #include "compute/scheduler.h"
 #include "compute/traversal.h"
 #include "graph/generators.h"
+#include "net/fault_injector.h"
 
 namespace trinity::compute {
 namespace {
@@ -346,6 +348,9 @@ TEST(BspEngineTest, CheckpointsAreByteDeterministic) {
   const std::string b = checkpoint_bytes(8, "bsp_ckpt_det_b");
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+  // Recorded from the engine that kept hash-map inboxes: the checkpoint
+  // format and its ascending-id order are part of the engine's contract.
+  EXPECT_EQ(HashBytes(a.data(), a.size()), 14077320153116142842ULL);
 }
 
 TEST(BspEngineTest, PackedTransfersAreQuadraticInMachinesNotMessages) {
@@ -373,6 +378,347 @@ TEST(BspEngineTest, PackedTransfersAreQuadraticInMachinesNotMessages) {
   // threshold, so exactly one transfer per pair with traffic).
   EXPECT_LE(stats.transfers,
             static_cast<std::uint64_t>(stats.supersteps) * slaves * slaves);
+}
+
+// ------------------------------------------------- Superstep golden pins
+
+// FNV digest of an (id, value bytes) image in ascending id order. A change
+// in send, arrival or fold order moves some double's last bit and shows.
+std::uint64_t ImageDigest(const std::map<CellId, std::string>& image_of) {
+  std::string image;
+  for (const auto& [v, bytes] : image_of) {
+    image.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    image += bytes;
+  }
+  return HashBytes(image.data(), image.size());
+}
+
+template <typename T>
+std::map<CellId, std::string> AsBytes(
+    const std::unordered_map<CellId, T>& values) {
+  std::map<CellId, std::string> out;
+  for (const auto& [v, x] : values) {
+    out[v].assign(reinterpret_cast<const char*>(&x), sizeof(x));
+  }
+  return out;
+}
+
+std::map<CellId, std::string> ValuesOf(const BspEngine& engine) {
+  std::map<CellId, std::string> values;
+  engine.ForEachValue(
+      [&](CellId v, const std::string& value) { values[v] = value; });
+  return values;
+}
+
+// perfbench's analytics graph: R-MAT(16,384, degree 8, seed 1) on 8 slaves
+// with p_bits 6.
+Fixture AnalyticsGraph() {
+  Fixture f;
+  cloud::MemoryCloud::Options options;
+  options.num_slaves = 8;
+  options.p_bits = 6;
+  EXPECT_TRUE(cloud::MemoryCloud::Create(options, &f.cloud).ok());
+  f.graph = std::make_unique<graph::Graph>(f.cloud.get());
+  const auto edges = graph::Generators::Rmat(16384, 8.0, 1);
+  EXPECT_TRUE(graph::Generators::Load(f.graph.get(), edges,
+                                      /*with_names=*/false, 1)
+                  .ok());
+  return f;
+}
+
+// The counters and digests below were recorded on the engine that staged
+// inboxes in hash maps and stable-sorted them; the superstep must reproduce
+// them bit for bit at any thread count.
+TEST(BspGoldenTest, PageRankMatchesRecordedImage) {
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Fixture f = AnalyticsGraph();
+    algos::PageRankOptions options;
+    options.iterations = 20;
+    options.bsp.num_threads = threads;
+    algos::PageRankResult result;
+    ASSERT_TRUE(algos::RunPageRank(f.graph.get(), options, &result).ok());
+    EXPECT_EQ(result.stats.messages, 2290960u);
+    EXPECT_EQ(result.stats.transfers, 1120u);
+    EXPECT_EQ(result.stats.bytes, 45837120u);
+    EXPECT_EQ(result.stats.supersteps, 22);
+    EXPECT_EQ(ImageDigest(AsBytes(result.ranks)), 2727246524298971286ULL);
+  }
+}
+
+// WCC is the min-combiner user: labels travel both edge directions.
+TEST(BspGoldenTest, WccMatchesRecordedLabels) {
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Fixture f = AnalyticsGraph();
+    algos::WccOptions options;
+    options.bsp.num_threads = threads;
+    algos::WccResult result;
+    ASSERT_TRUE(algos::RunWcc(f.graph.get(), options, &result).ok());
+    EXPECT_EQ(result.num_components, 5392u);
+    EXPECT_EQ(result.stats.messages, 507229u);
+    EXPECT_EQ(result.stats.bytes, 10149988u);
+    EXPECT_EQ(result.stats.supersteps, 7);
+    EXPECT_EQ(ImageDigest(AsBytes(result.component)), 706268862269324901ULL);
+  }
+}
+
+// A message to an id that no vertex holds is kept on the id's owner: it
+// keeps that superstep from going quiet and is written into a checkpoint,
+// but no program ever sees it and the id gets no value.
+TEST(BspEngineTest, SendToIdWithoutVertexKeepsOneSuperstepAwake) {
+  constexpr CellId kNoVertex = 1000;
+  const std::uint64_t kCheckpointDigest[2] = {4253747564714735775ULL,
+                                              3711396055027539528ULL};
+  for (bool combine : {false, true}) {
+    SCOPED_TRACE(combine ? "combiner" : "no combiner");
+    const std::string root =
+        FreshTfsRoot(combine ? "bsp_novertex_c" : "bsp_novertex");
+    tfs::Tfs::Options tfs_options;
+    tfs_options.root = root;
+    std::unique_ptr<tfs::Tfs> tfs;
+    ASSERT_TRUE(tfs::Tfs::Open(tfs_options, &tfs).ok());
+    Fixture f = NewGraph();
+    BuildChain(f.graph.get());
+    BspEngine::Options options =
+        combine ? PageRankStyleOptions(2) : BspEngine::Options{};
+    options.superstep_limit = 64;
+    const BspEngine::Program program = [](BspEngine::VertexContext& ctx) {
+      if (ctx.superstep() == 0) {
+        const double one = 1.0;
+        const Slice msg(reinterpret_cast<const char*>(&one), 8);
+        ctx.Send(kNoVertex, msg);
+        ctx.Send(kNoVertex, msg);
+      }
+      ctx.value() = std::to_string(ctx.messages().size());
+      ctx.VoteToHalt();
+    };
+    BspEngine engine(f.graph.get(), options);
+    BspEngine::RunStats stats;
+    ASSERT_TRUE(engine.Run(program, &stats).ok());
+    EXPECT_EQ(stats.supersteps, 2);
+    EXPECT_EQ(stats.messages, 10u);
+    std::string value;
+    EXPECT_TRUE(engine.GetValue(kNoVertex, &value).IsNotFound());
+    EXPECT_EQ(ValuesOf(engine).size(), 5u);
+
+    // Stop right after superstep 0: the checkpoint holds the stored message.
+    options.checkpoint_interval = 1;
+    options.tfs = tfs.get();
+    options.superstep_limit = 1;
+    BspEngine first(f.graph.get(), options);
+    ASSERT_TRUE(first.Run(program, &stats).ok());
+    std::string image;
+    ASSERT_TRUE(tfs->ReadFile("bsp_ckpt/state", &image).ok());
+    EXPECT_EQ(HashBytes(image.data(), image.size()),
+              kCheckpointDigest[combine ? 1 : 0]);
+    // Restored, the message wakes no vertex: one quiet superstep.
+    options.superstep_limit = 64;
+    BspEngine resumed(f.graph.get(), options);
+    ASSERT_TRUE(resumed.Run(program, &stats).ok());
+    EXPECT_TRUE(stats.restored_from_checkpoint);
+    EXPECT_EQ(stats.supersteps, 1);
+    EXPECT_EQ(stats.messages, 0u);
+    EXPECT_TRUE(resumed.GetValue(kNoVertex, &value).IsNotFound());
+  }
+}
+
+// A checkpoint value for an id that has no vertex on the restoring engine
+// (the cell came back after the engine was built) is kept: GetValue returns
+// it and the next checkpoint writes it again.
+TEST(BspEngineTest, RestoredValueForIdWithoutVertexIsKept) {
+  const std::string root = FreshTfsRoot("bsp_ckpt_stray_value");
+  tfs::Tfs::Options tfs_options;
+  tfs_options.root = root;
+  std::unique_ptr<tfs::Tfs> tfs;
+  ASSERT_TRUE(tfs::Tfs::Open(tfs_options, &tfs).ok());
+  Fixture f = NewGraph();
+  BuildChain(f.graph.get());
+  ASSERT_TRUE(f.graph->AddNode(5, Slice()).ok());
+  const BspEngine::Program program = [](BspEngine::VertexContext& ctx) {
+    ctx.value() = std::to_string(ctx.vertex()) + "@" +
+                  std::to_string(ctx.superstep());
+    if (ctx.superstep() == 0) {
+      ctx.SendToAllOut(Slice("x"));
+    } else {
+      ctx.VoteToHalt();
+    }
+  };
+  BspEngine::Options options;
+  options.checkpoint_interval = 1;
+  options.tfs = tfs.get();
+  options.superstep_limit = 1;
+  BspEngine first(f.graph.get(), options);
+  BspEngine::RunStats stats;
+  ASSERT_TRUE(first.Run(program, &stats).ok());
+
+  ASSERT_TRUE(f.cloud->RemoveCell(5).ok());
+  options.superstep_limit = 64;
+  BspEngine resumed(f.graph.get(), options);  // No vertex 5 here.
+  ASSERT_TRUE(f.graph->AddNode(5, Slice()).ok());
+  ASSERT_TRUE(resumed.Run(program, &stats).ok());
+  EXPECT_TRUE(stats.restored_from_checkpoint);
+  std::string value;
+  ASSERT_TRUE(resumed.GetValue(5, &value).ok());
+  EXPECT_EQ(value, "5@0");
+  ASSERT_TRUE(resumed.GetValue(3, &value).ok());
+  EXPECT_EQ(value, "3@1");
+  EXPECT_EQ(ValuesOf(resumed).size(), 6u);
+  std::string image;
+  ASSERT_TRUE(tfs->ReadFile("bsp_ckpt/state", &image).ok());
+  EXPECT_EQ(HashBytes(image.data(), image.size()), 6095614542811734552ULL);
+}
+
+// Cloud with TFS snapshots, so a failed machine's trunks reload onto the
+// survivors.
+Fixture NewRecoverableGraph(tfs::Tfs* tfs) {
+  Fixture f;
+  cloud::MemoryCloud::Options options;
+  options.num_slaves = 4;
+  options.p_bits = 4;
+  options.storage.trunk.capacity = 4 << 20;
+  options.tfs = tfs;
+  EXPECT_TRUE(cloud::MemoryCloud::Create(options, &f.cloud).ok());
+  f.graph = std::make_unique<graph::Graph>(f.cloud.get());
+  EXPECT_TRUE(graph::Generators::LoadRmat(f.graph.get(), 256, 4.0, 11).ok());
+  EXPECT_TRUE(f.cloud->SaveSnapshot().ok());
+  return f;
+}
+
+// Fixed-point rank sums with a combiner: exact, so a run whose second half
+// folds in a different order (vertices moved owner) still matches bit for
+// bit.
+BspEngine::Options FixedPointOptions() {
+  BspEngine::Options options;
+  options.superstep_limit = 8;
+  options.combiner = [](std::string* acc, Slice msg) {
+    std::uint64_t a = 0, b = 0;
+    std::memcpy(&a, acc->data(), 8);
+    std::memcpy(&b, msg.data(), 8);
+    a += b;
+    std::memcpy(acc->data(), &a, 8);
+  };
+  return options;
+}
+
+BspEngine::Program FixedPointProgram() {
+  return [](BspEngine::VertexContext& ctx) {
+    std::uint64_t rank = 1000000;
+    if (ctx.superstep() > 0) {
+      std::uint64_t sum = 0;
+      for (Slice msg : ctx.messages()) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, msg.data(), 8);
+        sum += v;
+      }
+      rank = 150000 + sum * 85 / 100;
+    }
+    ctx.value().assign(reinterpret_cast<const char*>(&rank), 8);
+    if (ctx.out_count() > 0) {
+      const std::uint64_t share = rank / ctx.out_count();
+      ctx.SendToAllOut(Slice(reinterpret_cast<const char*>(&share), 8));
+    }
+  };
+}
+
+// A checkpoint taken before a failover restores onto the vertices' new
+// owners: values, halted flags and inbox groups re-bucket by id, and the
+// resumed run ends where a crash-free run does.
+TEST(BspEngineTest, RestoreFollowsVerticesMovedByFailover) {
+  const std::string root = FreshTfsRoot("bsp_ckpt_failover");
+  tfs::Tfs::Options tfs_options;
+  tfs_options.root = root;
+  std::unique_ptr<tfs::Tfs> tfs;
+  ASSERT_TRUE(tfs::Tfs::Open(tfs_options, &tfs).ok());
+  Fixture f = NewRecoverableGraph(tfs.get());
+  std::map<CellId, std::string> expected;
+  {
+    BspEngine engine(f.graph.get(), FixedPointOptions());
+    BspEngine::RunStats stats;
+    ASSERT_TRUE(engine.Run(FixedPointProgram(), &stats).ok());
+    expected = ValuesOf(engine);
+  }
+  BspEngine::Options options = FixedPointOptions();
+  options.checkpoint_interval = 4;
+  options.checkpoint_prefix = "moved";
+  options.tfs = tfs.get();
+  options.superstep_limit = 4;
+  {
+    BspEngine engine(f.graph.get(), options);
+    BspEngine::RunStats stats;
+    ASSERT_TRUE(engine.Run(FixedPointProgram(), &stats).ok());
+    ASSERT_EQ(stats.checkpoints_written, 1);
+  }
+  ASSERT_TRUE(f.cloud->FailMachine(1).ok());
+  ASSERT_TRUE(f.cloud->RecoverMachine(1).ok());
+  for (TrunkId t = 0; t < f.cloud->table().num_slots(); ++t) {
+    ASSERT_NE(f.cloud->table().machine_of_trunk(t), 1);
+  }
+  options.superstep_limit = 8;
+  BspEngine resumed(f.graph.get(), options);
+  BspEngine::RunStats stats;
+  ASSERT_TRUE(resumed.Run(FixedPointProgram(), &stats).ok());
+  EXPECT_TRUE(stats.restored_from_checkpoint);
+  EXPECT_EQ(stats.supersteps, 4);
+  EXPECT_EQ(ValuesOf(resumed), expected);
+  EXPECT_EQ(ImageDigest(expected), 9046038516723205881ULL);
+}
+
+// A run aborted by a crash strands messages in the engine; the next Run on
+// the same engine discards them. The program records every message it
+// receives, so a stale one would show in some value.
+TEST(BspEngineTest, RerunAfterCrashAbortSeesNoStaleMessages) {
+  const std::string root = FreshTfsRoot("bsp_crash_rerun");
+  tfs::Tfs::Options tfs_options;
+  tfs_options.root = root;
+  std::unique_ptr<tfs::Tfs> tfs;
+  ASSERT_TRUE(tfs::Tfs::Open(tfs_options, &tfs).ok());
+  Fixture f = NewRecoverableGraph(tfs.get());
+  const BspEngine::Program program = [](BspEngine::VertexContext& ctx) {
+    if (ctx.superstep() == 0) ctx.value().clear();
+    for (Slice msg : ctx.messages()) {
+      ctx.value().append(msg.data(), msg.size());
+    }
+    const CellId self = ctx.vertex();
+    ctx.SendToAllOut(Slice(reinterpret_cast<const char*>(&self), 8));
+  };
+  BspEngine::Options options;
+  options.superstep_limit = 4;
+  std::map<CellId, std::string> expected;
+  {
+    BspEngine engine(f.graph.get(), options);
+    BspEngine::RunStats stats;
+    ASSERT_TRUE(engine.Run(program, &stats).ok());
+    expected = ValuesOf(engine);
+  }
+  constexpr MachineId kVictim = 1;
+  std::vector<TrunkId> victim_trunks;
+  for (TrunkId t = 0; t < f.cloud->table().num_slots(); ++t) {
+    if (f.cloud->table().machine_of_trunk(t) == kVictim) {
+      victim_trunks.push_back(t);
+    }
+  }
+  BspEngine engine(f.graph.get(), options);
+  net::FaultInjector injector(7);
+  // Each remote packed payload is one fabric message: machine 1 touches six
+  // per superstep, so the crash lands in superstep 1.
+  injector.CrashAfter(kVictim, 8);
+  f.cloud->fabric().SetFaultInjector(&injector);
+  BspEngine::RunStats stats;
+  const Status crashed = engine.Run(program, &stats);
+  f.cloud->fabric().SetFaultInjector(nullptr);
+  ASSERT_TRUE(crashed.IsUnavailable()) << crashed.ToString();
+  EXPECT_EQ(stats.supersteps, 1);
+  // Heal and move the victim's trunks home, so the engine's ownership
+  // snapshot holds again.
+  ASSERT_TRUE(f.cloud->RecoverMachine(kVictim).ok());
+  ASSERT_TRUE(f.cloud->RestartMachine(kVictim).ok());
+  for (TrunkId t : victim_trunks) {
+    ASSERT_TRUE(f.cloud->MigrateTrunk(t, kVictim).ok());
+  }
+  ASSERT_TRUE(engine.Run(program, &stats).ok());
+  EXPECT_EQ(stats.supersteps, 4);
+  EXPECT_EQ(ValuesOf(engine), expected);
 }
 
 TEST(TraversalTest, KHopVisitsExactlyOnce) {
