@@ -66,7 +66,7 @@ int main() {
   std::printf("leader runs a heartbeat sweep and recovers: %d machine(s)\n",
               cloud->DetectAndRecover());
   std::printf("trunks of machine %d now hosted elsewhere: %s\n", victim,
-              cloud->table().trunks_of(victim).empty() ? "yes" : "no");
+              cloud->table()->trunks_of(victim).empty() ? "yes" : "no");
 
   // Verify nothing was lost — including the post-snapshot write.
   std::string data;

@@ -48,14 +48,10 @@ bool DecodeTask(Slice payload, Task* task) {
 }  // namespace
 
 SubgraphMatcher::SubgraphMatcher(graph::Graph* graph, Options options)
-    : graph_(graph), options_(std::move(options)) {
-  cloud::MemoryCloud* cloud = graph_->cloud();
-  num_slaves_ = cloud->num_slaves();
-  trunk_owner_.resize(cloud->table().num_slots());
-  for (int t = 0; t < cloud->table().num_slots(); ++t) {
-    trunk_owner_[t] = cloud->table().machine_of_trunk(t);
-  }
-}
+    : graph_(graph),
+      options_(std::move(options)),
+      table_(graph->cloud()->table()),
+      num_slaves_(graph->cloud()->num_slaves()) {}
 
 std::uint32_t SubgraphMatcher::LabelOf(CellId v) const {
   return static_cast<std::uint32_t>(Mix64(v ^ options_.label_seed) %
@@ -63,7 +59,7 @@ std::uint32_t SubgraphMatcher::LabelOf(CellId v) const {
 }
 
 MachineId SubgraphMatcher::OwnerOf(CellId v) const {
-  return trunk_owner_[graph_->cloud()->TrunkOf(v)];
+  return table_->machine_of_trunk(graph_->cloud()->TrunkOf(v));
 }
 
 Status SubgraphMatcher::Match(const Pattern& pattern, Result* result) {

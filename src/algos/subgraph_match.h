@@ -2,6 +2,7 @@
 #define TRINITY_ALGOS_SUBGRAPH_MATCH_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -100,7 +101,8 @@ class SubgraphMatcher {
 
   graph::Graph* graph_;
   Options options_;
-  std::vector<MachineId> trunk_owner_;
+  /// The addressing table pinned at construction.
+  const std::shared_ptr<const cloud::AddressingTable> table_;
   std::vector<std::uint64_t> label_frequencies_;
   int num_slaves_;
 };

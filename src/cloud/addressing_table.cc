@@ -37,20 +37,6 @@ void AddressingTable::MoveTrunk(TrunkId trunk, MachineId to) {
   ++version_;
 }
 
-void AddressingTable::EvacuateMachine(MachineId from,
-                                      const std::vector<MachineId>& targets) {
-  TRINITY_CHECK(!targets.empty(), "no evacuation targets");
-  std::size_t next = 0;
-  for (int i = 0; i < num_slots(); ++i) {
-    if (slots_[i] == from) {
-      slots_[i] = targets[next % targets.size()];
-      ++epochs_[i];
-      ++next;
-    }
-  }
-  ++version_;
-}
-
 void AddressingTable::SetReplicas(TrunkId trunk,
                                   std::vector<MachineId> replicas) {
   TRINITY_CHECK(trunk >= 0 && trunk < num_slots(), "trunk out of range");

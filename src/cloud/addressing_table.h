@@ -2,7 +2,6 @@
 #define TRINITY_CLOUD_ADDRESSING_TABLE_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -59,11 +58,6 @@ class AddressingTable {
 
   /// Reassigns one trunk. Bumps the version and the trunk's fencing epoch.
   void MoveTrunk(TrunkId trunk, MachineId to);
-
-  /// Reassigns every trunk owned by `from` across `targets` round-robin
-  /// (failure recovery / machine departure). Bumps the version once and the
-  /// fencing epoch of every moved trunk.
-  void EvacuateMachine(MachineId from, const std::vector<MachineId>& targets);
 
   /// Replaces the in-sync replica set for one trunk. Bumps the version.
   void SetReplicas(TrunkId trunk, std::vector<MachineId> replicas);

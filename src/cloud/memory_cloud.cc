@@ -98,8 +98,9 @@ Status MemoryCloud::Init() {
   for (MachineId m = 0; m < num_endpoints(); ++m) {
     alive_[m].store(true, std::memory_order_relaxed);
   }
+  const auto seed = std::make_shared<const AddressingTable>(primary_table_);
   for (MachineId m = 0; m < num_endpoints(); ++m) {
-    machines_[m].table_replica = primary_table_;
+    machines_[m].table.store(seed, std::memory_order_release);
     if (m < options_.num_slaves) {
       auto store = std::make_shared<storage::MemoryStorage>(options_.storage);
       for (TrunkId t : primary_table_.trunks_of(m)) {
@@ -119,28 +120,10 @@ Status MemoryCloud::Init() {
       }
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (MachineId m = 0; m < num_endpoints(); ++m) RefreshRoutingLocked(m);
-    RefreshPrimaryRoutingLocked();
-  }
-  leader_ = 0;
   return Status::OK();
 }
 
 void MemoryCloud::RegisterHandlers(MachineId m) {
-  // Addressing-table broadcast: every endpoint keeps a replica (§3).
-  fabric_->RegisterAsyncHandler(
-      m, kTableUpdateHandler, [this, m](MachineId, Slice payload) {
-        AddressingTable table(0, 1);
-        if (AddressingTable::Deserialize(payload, &table).ok()) {
-          std::lock_guard<std::mutex> lock(mu_);
-          if (table.version() > machines_[m].table_replica.version()) {
-            machines_[m].table_replica = table;
-            RefreshRoutingLocked(m);
-          }
-        }
-      });
   if (m >= options_.num_slaves) return;  // Proxies/client carry no data.
 
   fabric_->RegisterSyncHandler(
@@ -174,7 +157,7 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
           }
           storage::MemoryTrunk* trunk = store->trunk(TrunkOf(id));
           if (trunk == nullptr) {
-            // The caller's routing snapshot is stale for this id. Fail the
+            // The caller's table replica is stale for this id. Fail the
             // whole batch so the caller re-routes each id individually —
             // partial answers must not masquerade as NotFound.
             return Status::Unavailable("trunk not hosted");
@@ -217,11 +200,6 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
         machines_[m].backup_logs[src].push_back(std::move(record));
         return Status::OK();
       });
-  fabric_->RegisterAsyncHandler(
-      m, kLogTruncateHandler, [this, m](MachineId src, Slice) {
-        std::lock_guard<std::mutex> lock(mu_);
-        machines_[m].backup_logs[src].clear();
-      });
   fabric_->RegisterSyncHandler(
       m, kTrunkMigrateHandler,
       [this, m](MachineId, Slice request, std::string*) {
@@ -253,24 +231,21 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
             !reader.GetBytes(&payload)) {
           return Status::Corruption("bad replica apply request");
         }
-        {
-          // Fencing: a mutation stamped with an epoch older than this
-          // machine's view of the trunk's fencing token comes from a
-          // primary that was deposed by a promotion it never heard about.
-          // Aborted is terminal for the sender — the write is never acked.
-          std::lock_guard<std::mutex> lock(mu_);
-          if (trunk_id < 0 ||
-              trunk_id >= machines_[m].table_replica.num_slots()) {
-            return Status::Corruption("replica apply trunk out of range");
-          }
-          if (epoch < machines_[m].table_replica.epoch_of_trunk(trunk_id)) {
-            recovery_stats_.fenced_writes.fetch_add(
-                1, std::memory_order_relaxed);
-            return Status::Aborted(
-                "fenced: replication epoch " + std::to_string(epoch) +
-                    " is stale for trunk " + std::to_string(trunk_id),
-                Status::Subcode::kFenced);
-          }
+        // Fencing: a mutation stamped with an epoch older than this
+        // machine's view of the trunk's fencing token comes from a primary
+        // that was deposed by a promotion it never heard about. Aborted is
+        // terminal for the sender — the write is never acked.
+        const auto table = TableOf(m);
+        if (trunk_id < 0 || trunk_id >= table->num_slots()) {
+          return Status::Corruption("replica apply trunk out of range");
+        }
+        if (epoch < table->epoch_of_trunk(trunk_id)) {
+          recovery_stats_.fenced_writes.fetch_add(1,
+                                                  std::memory_order_relaxed);
+          return Status::Aborted(
+              "fenced: replication epoch " + std::to_string(epoch) +
+                  " is stale for trunk " + std::to_string(trunk_id),
+              Status::Subcode::kFenced);
         }
         auto store = StorageOf(m);
         if (store == nullptr) return Status::Unavailable("not a slave");
@@ -380,82 +355,52 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
 }
 
 MachineId MemoryCloud::MachineOf(CellId id) const {
-  std::shared_ptr<const RoutingView> view =
-      primary_routing_.load(std::memory_order_acquire);
-  if (view != nullptr &&
-      view->stamp == routing_stamp_.load(std::memory_order_acquire)) {
-    return view->owner[TrunkOf(id)];
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  RefreshPrimaryRoutingLocked();
-  return primary_table_.machine_of_trunk(TrunkOf(id));
+  return RouteDst(leader(), id);
 }
 
-storage::MemoryStorage* MemoryCloud::storage(MachineId m) {
+std::shared_ptr<storage::MemoryStorage> MemoryCloud::storage(MachineId m) {
   // Lock-free: liveness and the storage pointer are both atomics. A crashed
   // machine's memory image may linger until recovery (see OnInjectedCrash)
   // but must never be readable.
   if (!alive_[m].load(std::memory_order_acquire)) return nullptr;
-  return StorageOf(m).get();
+  return StorageOf(m);
 }
 
-const AddressingTable& MemoryCloud::table() const { return primary_table_; }
+std::shared_ptr<const AddressingTable> MemoryCloud::table() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return PrimarySnapshotLocked();
+}
+
+std::shared_ptr<const AddressingTable> MemoryCloud::PrimarySnapshotLocked()
+    const {
+  // Every mutation of primary_table_ bumps its version, so a replica at the
+  // same version is an identical copy.
+  auto leader_table = TableOf(leader_);
+  if (leader_table->version() == primary_table_.version()) return leader_table;
+  return std::make_shared<const AddressingTable>(primary_table_);
+}
 
 std::uint64_t MemoryCloud::MemoryFootprintBytes() const {
   std::uint64_t total = 0;
-  for (int m = 0; m < options_.num_slaves; ++m) {
-    auto store = StorageOf(m);
-    if (alive_[m].load(std::memory_order_acquire) && store != nullptr) {
-      total += store->MemoryFootprintBytes();
-    }
-  }
+  ForEachAliveStorage([&](const storage::MemoryStorage& store) {
+    total += store.MemoryFootprintBytes();
+  });
   return total;
 }
 
 std::uint64_t MemoryCloud::TotalCellCount() const {
   std::uint64_t total = 0;
-  for (int m = 0; m < options_.num_slaves; ++m) {
-    auto store = StorageOf(m);
-    if (alive_[m].load(std::memory_order_acquire) && store != nullptr) {
-      total += store->TotalCellCount();
-    }
-  }
+  ForEachAliveStorage([&](const storage::MemoryStorage& store) {
+    total += store.TotalCellCount();
+  });
   return total;
 }
 
 storage::MemoryTrunk::Stats MemoryCloud::AggregateTrunkStats() const {
   storage::MemoryTrunk::Stats total;
-  for (int m = 0; m < options_.num_slaves; ++m) {
-    auto store = StorageOf(m);
-    if (!alive_[m].load(std::memory_order_acquire) || store == nullptr) {
-      continue;
-    }
-    const storage::MemoryTrunk::Stats s = store->AggregateTrunkStats();
-    total.live_cells += s.live_cells;
-    total.live_bytes += s.live_bytes;
-    total.reserved_slack += s.reserved_slack;
-    total.dead_bytes += s.dead_bytes;
-    total.used_bytes += s.used_bytes;
-    total.resident_bytes += s.resident_bytes;
-    total.committed_bytes += s.committed_bytes;
-    total.capacity += s.capacity;
-    total.defrag_passes += s.defrag_passes;
-    total.cells_moved += s.cells_moved;
-    total.expansions_in_place += s.expansions_in_place;
-    total.expansions_relocated += s.expansions_relocated;
-    total.compressed_cells += s.compressed_cells;
-    total.compressed_bytes += s.compressed_bytes;
-    total.spilled_cells += s.spilled_cells;
-    total.spilled_bytes += s.spilled_bytes;
-    total.cells_evicted += s.cells_evicted;
-    total.cells_faulted += s.cells_faulted;
-    total.cold_bytes_written += s.cold_bytes_written;
-    total.cold_bytes_read += s.cold_bytes_read;
-    total.shared_reads += s.shared_reads;
-    total.read_lock_contended += s.read_lock_contended;
-    total.write_lock_contended += s.write_lock_contended;
-    total.cell_lock_contended += s.cell_lock_contended;
-  }
+  ForEachAliveStorage([&](const storage::MemoryStorage& store) {
+    total += store.AggregateTrunkStats();
+  });
   return total;
 }
 
@@ -523,26 +468,21 @@ Status MemoryCloud::ExecuteLocal(MachineId m, CellOp op, CellId id,
 Status MemoryCloud::ReplicateMutation(MachineId primary, CellOp op, CellId id,
                                       Slice payload) {
   const TrunkId t = TrunkOf(id);
-  std::uint64_t epoch = 0;
-  std::vector<MachineId> replicas;
-  {
-    // The primary's *own* table replica drives its write path. This is the
-    // fencing linchpin: a deposed primary (partitioned away before a
-    // promotion it never heard about) still advertises its old epoch and
-    // still targets its old in-sync set, so its traffic reaches a machine
-    // holding a newer table and dies with Aborted — it cannot consult some
-    // post-promotion global state and quietly ack against an empty set.
-    std::lock_guard<std::mutex> lock(mu_);
-    epoch = machines_[primary].table_replica.epoch_of_trunk(t);
-    replicas = machines_[primary].table_replica.replicas_of_trunk(t);
-  }
+  // The primary's *own* table replica drives its write path. This is the
+  // fencing linchpin: a deposed primary (partitioned away before a promotion
+  // it never heard about) still advertises its old epoch and still targets
+  // its old in-sync set, so its traffic reaches a machine holding a newer
+  // table and dies with Aborted — it cannot consult some post-promotion
+  // global state and quietly ack against an empty set.
+  const auto table = TableOf(primary);
+  const std::uint64_t epoch = table->epoch_of_trunk(t);
   BinaryWriter writer;
   writer.PutI32(t);
   writer.PutU64(epoch);
   writer.PutU8(static_cast<std::uint8_t>(op));
   writer.PutU64(id);
   writer.PutBytes(payload);
-  for (MachineId r : replicas) {
+  for (MachineId r : table->replicas_of_trunk(t)) {
     RetryPolicy::RunHooks hooks;
     hooks.salt = Mix64(id) ^ Mix64(static_cast<std::uint64_t>(r) + 1);
     hooks.charge = [&](double micros) {
@@ -615,16 +555,13 @@ Status MemoryCloud::TryReplicaRead(MachineId src, CellOp op, CellId id,
                                    CallContext* ctx) {
   *served = false;
   const TrunkId t = TrunkOf(id);
-  std::vector<MachineId> replicas;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    replicas = primary_table_.replicas_of_trunk(t);
-  }
+  // The in-sync set as the leader last installed it.
+  const auto table = TableOf(leader());
   BinaryWriter writer;
   writer.PutI32(t);
   writer.PutU8(static_cast<std::uint8_t>(op));
   writer.PutU64(id);
-  for (MachineId r : replicas) {
+  for (MachineId r : table->replicas_of_trunk(t)) {
     if (!fabric_->IsMachineUp(r)) continue;
     std::string resp;
     Status s = fabric_->Call(src, r, kReplicaReadHandler,
@@ -686,47 +623,6 @@ MachineId MemoryCloud::BackupOf(MachineId m) const {
     if (alive_[candidate].load(std::memory_order_acquire)) return candidate;
   }
   return kInvalidMachine;
-}
-
-void MemoryCloud::RefreshRoutingLocked(MachineId m) {
-  auto view = std::make_shared<RoutingView>();
-  view->stamp = routing_stamp_.load(std::memory_order_acquire);
-  const AddressingTable& table = machines_[m].table_replica;
-  view->owner.resize(static_cast<std::size_t>(table.num_slots()));
-  for (TrunkId t = 0; t < table.num_slots(); ++t) {
-    view->owner[static_cast<std::size_t>(t)] = table.machine_of_trunk(t);
-  }
-  machines_[m].routing.store(std::move(view), std::memory_order_release);
-}
-
-void MemoryCloud::RefreshPrimaryRoutingLocked() const {
-  auto view = std::make_shared<RoutingView>();
-  view->stamp = routing_stamp_.load(std::memory_order_acquire);
-  view->owner.resize(static_cast<std::size_t>(primary_table_.num_slots()));
-  for (TrunkId t = 0; t < primary_table_.num_slots(); ++t) {
-    view->owner[static_cast<std::size_t>(t)] =
-        primary_table_.machine_of_trunk(t);
-  }
-  primary_routing_.store(std::move(view), std::memory_order_release);
-}
-
-MachineId MemoryCloud::RouteDst(MachineId src, CellId id) {
-  const TrunkId t = TrunkOf(id);
-  // RCU fast path: route against this machine's immutable snapshot with no
-  // lock taken. The stamp check bounds staleness to the last membership or
-  // table change; correctness never depends on it because a wrong owner
-  // answers Unavailable and RouteOp re-syncs and retries.
-  std::shared_ptr<const RoutingView> view =
-      machines_[src].routing.load(std::memory_order_acquire);
-  if (view != nullptr &&
-      view->stamp == routing_stamp_.load(std::memory_order_acquire)) {
-    return view->owner[static_cast<std::size_t>(t)];
-  }
-  // Slow path: rebuild the snapshot under the lock from the (possibly still
-  // stale) table replica — re-sync with the primary stays RouteOp's job.
-  std::lock_guard<std::mutex> lock(mu_);
-  RefreshRoutingLocked(src);
-  return machines_[src].table_replica.machine_of_trunk(t);
 }
 
 Status MemoryCloud::RouteOp(MachineId src, CellOp op, CellId id,
@@ -815,8 +711,8 @@ Status MemoryCloud::RouteOp(MachineId src, CellOp op, CellId id,
     // §6.2: "machine A will wait for the addressing table to be updated,
     // and attempt to access the item again."
     std::lock_guard<std::mutex> lock(mu_);
-    machines_[src].table_replica = primary_table_;
-    RefreshRoutingLocked(src);
+    machines_[src].table.store(PrimarySnapshotLocked(),
+                               std::memory_order_release);
     return s;
   });
   if (src_down) return Status::Unavailable("source machine is down");
@@ -880,7 +776,7 @@ Status MemoryCloud::MultiOp(MachineId src, CellOp op,
   if (!fabric_->IsMachineUp(src)) {
     return Status::Unavailable("source machine is down");
   }
-  // Group the batch by owner via the lock-free snapshot. std::map keeps the
+  // Group the batch by owner via src's table replica. std::map keeps the
   // per-machine call order deterministic for the fault injector.
   std::map<MachineId, std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -987,39 +883,22 @@ Status MemoryCloud::PersistTableLocked() {
 }
 
 void MemoryCloud::BroadcastTableLocked() {
-  const std::string image = primary_table_.Serialize();
-  // New table generation: retire every routing snapshot built before this
-  // broadcast, then rebuild the views of the machines the broadcast reaches
-  // so their fast paths resume immediately. Machines the broadcast skips
-  // (dead ones) rebuild lazily on their first post-restart read.
-  routing_stamp_.fetch_add(1, std::memory_order_acq_rel);
+  // One immutable snapshot, installed on the leader and every alive
+  // endpoint. A machine the broadcast skips (a dead one) re-syncs on its
+  // first failed access after a restart.
+  const auto snapshot = PrimarySnapshotLocked();
   for (MachineId m = 0; m < num_endpoints(); ++m) {
-    if (m == leader_) {
-      machines_[m].table_replica = primary_table_;
-      RefreshRoutingLocked(m);
-      continue;
-    }
-    if (!alive_[m].load(std::memory_order_acquire)) continue;
-    // Direct replica install; losing the broadcast is tolerated because a
-    // stale machine re-syncs on its next failed access.
-    AddressingTable table(0, 1);
-    if (AddressingTable::Deserialize(Slice(image), &table).ok()) {
-      machines_[m].table_replica = table;
-      RefreshRoutingLocked(m);
+    if (m == leader_ || alive_[m].load(std::memory_order_acquire)) {
+      machines_[m].table.store(snapshot, std::memory_order_release);
     }
   }
-  RefreshPrimaryRoutingLocked();
 }
-
 
 std::uint64_t MemoryCloud::ReplicaMemoryBytes() const {
   std::uint64_t total = 0;
-  for (int m = 0; m < options_.num_slaves; ++m) {
-    auto store = StorageOf(m);
-    if (alive_[m].load(std::memory_order_acquire) && store != nullptr) {
-      total += store->ReplicaFootprintBytes();
-    }
-  }
+  ForEachAliveStorage([&](const storage::MemoryStorage& store) {
+    total += store.ReplicaFootprintBytes();
+  });
   return total;
 }
 
@@ -1031,11 +910,10 @@ net::RecoveryStats MemoryCloud::recovery_stats() const {
 
 void MemoryCloud::DesyncReplicaForTest(MachineId m) {
   std::lock_guard<std::mutex> lock(mu_);
-  machines_[m].table_replica =
-      AddressingTable(options_.p_bits, options_.num_slaves);
-  // Install a snapshot of the *stale* table: the fast path must route per
-  // the desynced view so RouteOp's transparent re-sync is exercised.
-  RefreshRoutingLocked(m);
+  machines_[m].table.store(
+      std::make_shared<const AddressingTable>(options_.p_bits,
+                                              options_.num_slaves),
+      std::memory_order_release);
 }
 
 }  // namespace trinity::cloud

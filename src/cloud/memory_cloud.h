@@ -30,9 +30,7 @@ enum CloudHandlerIds : net::HandlerId {
   kCellOpHandler = 1,        ///< Sync KV operation dispatch.
   kMultiGetHandler = 2,      ///< Batched read dispatch (MultiGet/Contains).
   kHeartbeatHandler = 50,    ///< Leader ping.
-  kTableUpdateHandler = 51,  ///< Addressing-table broadcast.
   kLogRecordHandler = 52,    ///< Buffered-logging append to a backup.
-  kLogTruncateHandler = 53,  ///< Backup log truncation after a snapshot.
   kTrunkMigrateHandler = 54,  ///< Live trunk migration (image transfer).
   // Hot-standby replication handlers (55..58). Chaos tests target exactly
   // this range with FaultInjector::SetHandlerRangePolicy to fault the
@@ -97,9 +95,6 @@ class MemoryCloud {
     /// trunks return retryable Unavailable until DetectAndRecover runs —
     /// tests use this to hold the cluster in the degraded window.
     bool auto_promote = true;
-    /// Restore the replication factor during DetectAndRecover sweeps after
-    /// promotions dropped it (background parallel re-replication).
-    bool rereplicate_on_recover = true;
     RetryPolicy retry;
   };
 
@@ -125,7 +120,8 @@ class MemoryCloud {
   TrunkId TrunkOf(CellId id) const {
     return static_cast<TrunkId>(TrunkHash(id, options_.p_bits));
   }
-  /// Owner machine according to the leader's primary table.
+  /// Owner machine according to the table last installed on the leader.
+  /// Lock-free.
   MachineId MachineOf(CellId id) const;
 
   // --- Key-value operations (from the client endpoint) -------------------
@@ -156,8 +152,8 @@ class MemoryCloud {
     std::string value;
   };
 
-  /// Batched read: groups `ids` per owner machine using the lock-free
-  /// routing snapshot, answers ids owned by `src` straight from trunk
+  /// Batched read: groups `ids` per owner machine using `src`'s table
+  /// replica (lock-free), answers ids owned by `src` straight from trunk
   /// accessors, and ships ONE packed request per remote owner (response
   /// records reuse the compute engines' [id][len][bytes] wire shape). A
   /// whole-batch failure against one owner (crash, stale routing) falls
@@ -197,12 +193,17 @@ class MemoryCloud {
   Status AppendToCellFrom(MachineId src, CellId id, Slice suffix,
                           CallContext* ctx = nullptr);
 
-  /// Direct pointer to the local storage of a slave (engines use this for
-  /// partition-local scans; access is expected to be metered by the caller).
-  storage::MemoryStorage* storage(MachineId m);
+  /// The local storage of a slave, or null for a down machine, a proxy or
+  /// the client. The pointer pins it: a crash or restart that swaps the
+  /// machine's storage out cannot free it under the holder. Engines use
+  /// this for partition-local scans; access is metered by the caller.
+  std::shared_ptr<storage::MemoryStorage> storage(MachineId m);
 
   net::Fabric& fabric() { return *fabric_; }
-  const AddressingTable& table() const;
+  /// An immutable snapshot of the primary addressing table as of this call.
+  /// Later membership changes never alter it; compute engines pin one at
+  /// construction and route by it for their lifetime.
+  std::shared_ptr<const AddressingTable> table() const;
 
   /// Sum of committed trunk bytes over all slaves.
   std::uint64_t MemoryFootprintBytes() const;
@@ -276,10 +277,7 @@ class MemoryCloud {
   /// transparently re-sync it from the primary on the first failed access.
   void DesyncReplicaForTest(MachineId m);
 
-  MachineId leader() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return leader_;
-  }
+  MachineId leader() const { return leader_.load(std::memory_order_acquire); }
   /// Elects the lowest-id alive slave, fencing through a TFS flag file when
   /// TFS is configured.
   Status ElectLeader();
@@ -297,8 +295,8 @@ class MemoryCloud {
   /// source trunks in parallel on a thread pool, and ships the images
   /// sequentially in canonical (trunk, target) order — parallel CPU work,
   /// deterministic fabric traffic. Returns the number of replicas
-  /// installed. Run automatically by DetectAndRecover sweeps when
-  /// options.rereplicate_on_recover is set.
+  /// installed. Run automatically after every DetectAndRecover sweep in
+  /// replicated mode.
   int ReReplicate();
 
  private:
@@ -318,28 +316,17 @@ class MemoryCloud {
     std::string payload;
   };
 
-  /// Immutable trunk→owner snapshot derived from one machine's addressing-
-  /// table replica (RCU-style): the read path loads it with a single atomic
-  /// operation and routes without taking mu_. `stamp` is the value of
-  /// routing_stamp_ when the view was built; a mismatch means membership or
-  /// table state changed since, and the reader falls back to the locked
-  /// path (which rebuilds the view). Correctness never depends on freshness
-  /// — a stale owner answers Unavailable("trunk not hosted") and the retry
-  /// loop re-syncs — the stamp only bounds how long readers chase stale
-  /// routes.
-  struct RoutingView {
-    std::uint64_t stamp = 0;
-    std::vector<MachineId> owner;  ///< Indexed by TrunkId.
-  };
-
   struct MachineState {
     /// Atomic shared_ptr so lock-free readers (ExecuteLocal, the batched
     /// read handler, the RouteOp fast path) can pin the storage object
     /// across an operation while FailMachine/promotion swap it out.
     std::atomic<std::shared_ptr<storage::MemoryStorage>> storage;
-    AddressingTable table_replica{0, 1};
-    /// This machine's lock-free routing snapshot (see RoutingView).
-    std::atomic<std::shared_ptr<const RoutingView>> routing;
+    /// This machine's addressing-table replica (RCU-style): an immutable
+    /// snapshot that readers load with one atomic operation and route by
+    /// without taking mu_; writers replace it whole under mu_. A stale
+    /// replica is safe — its owner answers Unavailable("trunk not hosted")
+    /// and RouteOp re-syncs it from the primary.
+    std::atomic<std::shared_ptr<const AddressingTable>> table;
     /// Buffered log records this machine holds as backup, keyed by primary.
     std::map<MachineId, std::vector<LogRecord>> backup_logs;
     std::uint64_t next_log_seq = 1;
@@ -378,16 +365,30 @@ class MemoryCloud {
     return machines_[m].storage.load(std::memory_order_acquire);
   }
 
-  /// Resolves the owner of `id` as seen from `src`: lock-free against the
-  /// routing snapshot when its stamp is current, else the slow locked path
-  /// (which also rebuilds the snapshot).
-  MachineId RouteDst(MachineId src, CellId id);
+  /// Loads machine m's table replica (lock-free).
+  std::shared_ptr<const AddressingTable> TableOf(MachineId m) const {
+    return machines_[m].table.load(std::memory_order_acquire);
+  }
 
-  /// Rebuilds machine m's routing snapshot from its table replica. Caller
-  /// holds mu_.
-  void RefreshRoutingLocked(MachineId m);
-  /// Rebuilds the leader-view snapshot used by MachineOf. Caller holds mu_.
-  void RefreshPrimaryRoutingLocked() const;
+  /// An immutable copy of primary_table_: the leader's replica when it
+  /// already equals the primary, else a fresh copy. Caller holds mu_.
+  std::shared_ptr<const AddressingTable> PrimarySnapshotLocked() const;
+
+  /// Calls fn(store) for the storage of every alive slave.
+  template <typename Fn>
+  void ForEachAliveStorage(Fn fn) const {
+    for (MachineId m = 0; m < options_.num_slaves; ++m) {
+      auto store = StorageOf(m);
+      if (alive_[m].load(std::memory_order_acquire) && store != nullptr) {
+        fn(*store);
+      }
+    }
+  }
+
+  /// Resolves the owner of `id` by `src`'s table replica (lock-free).
+  MachineId RouteDst(MachineId src, CellId id) const {
+    return TableOf(src)->machine_of_trunk(TrunkOf(id));
+  }
 
   /// Sends the mutation to the primary's backup before it applies locally.
   /// Retries across surviving backups so a backup crash (or injected call
@@ -466,16 +467,10 @@ class MemoryCloud {
   /// path can check it without mu_.
   std::unique_ptr<std::atomic<bool>[]> alive_;
 
-  /// Generation counter for the routing snapshots: bumped (under mu_) on
-  /// every membership/table change, which lazily invalidates every
-  /// RoutingView built before the change.
-  std::atomic<std::uint64_t> routing_stamp_{1};
-  /// Snapshot of the primary table's ownership map for lock-free MachineOf.
-  mutable std::atomic<std::shared_ptr<const RoutingView>> primary_routing_;
-
   mutable std::mutex mu_;  ///< Guards table/membership/leader state.
   AddressingTable primary_table_{0, 1};
-  MachineId leader_ = 0;
+  /// Written under mu_; atomic so leader() and MachineOf read it lock-free.
+  std::atomic<MachineId> leader_{0};
   std::uint64_t leader_epoch_ = 0;
   std::uint64_t snapshot_epoch_ = 0;  ///< Last committed snapshot epoch.
   /// True when a machine died holding backup-log buffers whose records have

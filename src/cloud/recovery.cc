@@ -15,8 +15,6 @@ namespace trinity::cloud {
 
 void MemoryCloud::MarkDownLocked(MachineId m, bool keep_image) {
   if (!keep_image) machines_[m].storage.store(nullptr);  // RAM is gone.
-  // Membership changed: lazily invalidate every routing snapshot.
-  routing_stamp_.fetch_add(1, std::memory_order_acq_rel);
   // Already down: its logs went with the first transition.
   if (!alive_[m].exchange(false, std::memory_order_acq_rel)) return;
   if (m >= options_.num_slaves) return;  // Proxies/client carry no state.
@@ -61,10 +59,9 @@ Status MemoryCloud::RestartMachine(MachineId m) {
   machines_[m].storage.store(
       std::make_shared<storage::MemoryStorage>(options_.storage),
       std::memory_order_release);
-  machines_[m].table_replica = primary_table_;
+  machines_[m].table.store(PrimarySnapshotLocked(), std::memory_order_release);
   machines_[m].next_log_seq = 1;
   alive_[m].store(true, std::memory_order_release);
-  RefreshRoutingLocked(m);
   fabric_->SetMachineUp(m);
   RegisterHandlers(m);
   return Status::OK();
@@ -367,7 +364,7 @@ int MemoryCloud::DetectAndRecover(SweepReport* report) {
   }
   // Background repair: restore the replication factor across the survivors
   // once promotions have drained.
-  if (replicated() && options_.rereplicate_on_recover) {
+  if (replicated()) {
     const int repaired = ReReplicate();
     if (report != nullptr) report->rereplicated_trunks = repaired;
   }

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "common/serializer.h"
+#include "compute/bsp.h"
 
 namespace trinity::compute {
 
@@ -14,6 +15,7 @@ void AsyncEngine::Context::Send(CellId target, Slice message) {
 AsyncEngine::AsyncEngine(graph::Graph* graph, Options options)
     : graph_(graph),
       options_(std::move(options)),
+      table_(graph->cloud()->table()),
       run_(graph->cloud()->fabric()) {
   if (options_.scheduler != SchedulerMode::kFifo && !options_.combiner) {
     config_error_ = Status::InvalidArgument(
@@ -37,14 +39,6 @@ AsyncEngine::AsyncEngine(graph::Graph* graph, Options options)
   cloud::MemoryCloud* cloud = graph_->cloud();
   num_slaves_ = cloud->num_slaves();
   machines_.resize(num_slaves_);
-  trunk_owner_.resize(cloud->table().num_slots());
-  owns_trunks_.assign(num_slaves_, false);
-  for (int t = 0; t < cloud->table().num_slots(); ++t) {
-    trunk_owner_[t] = cloud->table().machine_of_trunk(t);
-    if (trunk_owner_[t] >= 0 && trunk_owner_[t] < num_slaves_) {
-      owns_trunks_[trunk_owner_[t]] = true;
-    }
-  }
   int threads = options_.num_threads;
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
@@ -77,18 +71,7 @@ AsyncEngine::AsyncEngine(graph::Graph* graph, Options options)
 }
 
 MachineId AsyncEngine::OwnerOf(CellId vertex) const {
-  return trunk_owner_[graph_->cloud()->TrunkOf(vertex)];
-}
-
-Status AsyncEngine::CheckClusterHealthy() const {
-  const net::Fabric& fabric = graph_->cloud()->fabric();
-  for (MachineId m = 0; m < num_slaves_; ++m) {
-    if (owns_trunks_[m] && !fabric.IsMachineUp(m)) {
-      return Status::Unavailable("machine " + std::to_string(m) +
-                                 " crashed during the async run");
-    }
-  }
-  return Status::OK();
+  return table_->machine_of_trunk(graph_->cloud()->TrunkOf(vertex));
 }
 
 void AsyncEngine::EnqueueLocal(MachineId machine, CellId target,
@@ -191,7 +174,7 @@ Status AsyncEngine::RunLoop(const Handler& handler, RunStats* stats) {
     // A crashed machine's local visits degrade to NotFound (its storage is
     // gone), which the update loop tolerates for individual vertices — so
     // detect the crash itself here, once per scheduling sweep.
-    Status healthy = CheckClusterHealthy();
+    Status healthy = CheckClusterHealthy(*table_, fabric, "async");
     if (!healthy.ok()) return healthy;
     // Per-update max_updates enforcement: carve this sweep's per-machine
     // budgets out of the remaining allowance serially (machine 0 first) so
@@ -231,7 +214,7 @@ Status AsyncEngine::RunLoop(const Handler& handler, RunStats* stats) {
       state.sweep_status = Status::OK();
       state.sweep_updates = 0;
       net::Fabric::MeterScope meter(fabric, m, &run_.meters);
-      storage::MemoryStorage* store = graph_->cloud()->storage(m);
+      const auto store = graph_->cloud()->storage(m);
       CellId vertex = kInvalidCell;
       std::string delta;
       for (std::uint64_t i = 0; i < state.sweep_budget; ++i) {
@@ -242,7 +225,7 @@ Status AsyncEngine::RunLoop(const Handler& handler, RunStats* stats) {
         ctx.vertex_ = vertex;
         ctx.value_ = &state.values[vertex];
         Status vs = graph_->VisitLocalNode(
-            store, vertex,
+            store.get(), vertex,
             [&](Slice data, const CellId*, std::size_t, const CellId* out,
                 std::size_t out_count) {
               ctx.data_ = data;

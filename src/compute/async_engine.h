@@ -157,11 +157,8 @@ class AsyncEngine {
     std::uint64_t sweep_budget = 0;
   };
 
+  /// Owner machine of a vertex by the pinned table.
   MachineId OwnerOf(CellId vertex) const;
-  /// Verifies every trunk-owning machine is still up; a crash mid-run
-  /// surfaces as a clean Unavailable at the next scheduling sweep instead
-  /// of updates silently vanishing on a shrunken cluster.
-  Status CheckClusterHealthy() const;
   void SendUpdate(MachineId src, CellId target, Slice message);
   void EnqueueLocal(MachineId machine, CellId target, Slice message);
   /// Drains every (src,dst) outbox through Fabric::SendPacked in canonical
@@ -183,10 +180,8 @@ class AsyncEngine {
   /// without a combiner); reported by Run().
   Status config_error_;
   std::vector<MachineState> machines_;
-  std::vector<MachineId> trunk_owner_;
-  /// owns_trunks_[m]: machine m hosts at least one trunk (precomputed so
-  /// the per-sweep health check is O(machines)).
-  std::vector<bool> owns_trunks_;
+  /// The addressing table pinned at construction (see BspEngine).
+  const std::shared_ptr<const cloud::AddressingTable> table_;
   std::unique_ptr<ThreadPool> pool_;
   int num_slaves_;
   /// This engine's meters (zeroed per Run) and handler id.

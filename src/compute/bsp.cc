@@ -40,20 +40,11 @@ void BspEngine::AggregateLocal(MachineId machine, Slice contribution) {
 BspEngine::BspEngine(graph::Graph* graph, Options options)
     : graph_(graph),
       options_(std::move(options)),
-      run_(graph->cloud()->fabric()) {
+      run_(graph->cloud()->fabric()),
+      table_(graph->cloud()->table()) {
   cloud::MemoryCloud* cloud = graph_->cloud();
   num_slaves_ = cloud->num_slaves();
   machines_.resize(num_slaves_);
-  // Snapshot trunk ownership so per-message routing is lock-free. BSP runs
-  // assume stable membership for their duration.
-  trunk_owner_.resize(cloud->table().num_slots());
-  owns_trunks_.assign(num_slaves_, false);
-  for (int t = 0; t < cloud->table().num_slots(); ++t) {
-    trunk_owner_[t] = cloud->table().machine_of_trunk(t);
-    if (trunk_owner_[t] >= 0 && trunk_owner_[t] < num_slaves_) {
-      owns_trunks_[trunk_owner_[t]] = true;
-    }
-  }
   int threads = options_.num_threads;
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
@@ -75,15 +66,16 @@ BspEngine::BspEngine(graph::Graph* graph, Options options)
 }
 
 MachineId BspEngine::OwnerOf(CellId vertex) const {
-  return trunk_owner_[graph_->cloud()->TrunkOf(vertex)];
+  return table_->machine_of_trunk(graph_->cloud()->TrunkOf(vertex));
 }
 
-Status BspEngine::CheckClusterHealthy() const {
-  const net::Fabric& fabric = graph_->cloud()->fabric();
-  for (MachineId m = 0; m < num_slaves_; ++m) {
-    if (owns_trunks_[m] && !fabric.IsMachineUp(m)) {
-      return Status::Unavailable("machine " + std::to_string(m) +
-                                 " crashed during the BSP run");
+Status CheckClusterHealthy(const cloud::AddressingTable& table,
+                           const net::Fabric& fabric, const char* run) {
+  for (TrunkId t = 0; t < table.num_slots(); ++t) {
+    const MachineId owner = table.machine_of_trunk(t);
+    if (!fabric.IsMachineUp(owner)) {
+      return Status::Unavailable("machine " + std::to_string(owner) +
+                                 " crashed during the " + run + " run");
     }
   }
   return Status::OK();
@@ -246,7 +238,7 @@ Status BspEngine::RunSuperstep(const Program& program, int superstep,
     net::Fabric::MeterScope meter(fabric, m, &run_.meters);
     // One storage resolution per machine per superstep; vertices then read
     // trunk memory without the cloud membership mutex.
-    storage::MemoryStorage* store = cloud->storage(m);
+    const auto store = cloud->storage(m);
     for (std::size_t slot = 0; slot < state.num_vertices; ++slot) {
       const std::uint32_t lo = state.inbox_begin[slot];
       const std::uint32_t hi = state.inbox_begin[slot + 1];
@@ -267,7 +259,7 @@ Status BspEngine::RunSuperstep(const Program& program, int superstep,
       state.has_value[slot] = 1;
       ctx.aggregated_ = Slice(aggregated_);
       Status vs = graph_->VisitLocalNode(
-          store, v,
+          store.get(), v,
           [&](Slice data, const CellId* in, std::size_t in_count,
               const CellId* out, std::size_t out_count) {
             ctx.data_ = data;
@@ -341,7 +333,7 @@ Status BspEngine::Run(const Program& program, RunStats* stats) {
   }
   for (; superstep < options_.superstep_limit; ++superstep) {
     run_.meters.Reset();
-    Status healthy = CheckClusterHealthy();
+    Status healthy = CheckClusterHealthy(*table_, run_.fabric, "BSP");
     if (!healthy.ok()) return healthy;
     bool all_quiet = false;
     Status s = RunSuperstep(program, superstep, &all_quiet, stats);
@@ -349,7 +341,7 @@ Status BspEngine::Run(const Program& program, RunStats* stats) {
     // A machine lost mid-superstep dropped its vertices' work and any
     // messages in flight to it; surface the failure at the barrier rather
     // than computing onward with partial state.
-    healthy = CheckClusterHealthy();
+    healthy = CheckClusterHealthy(*table_, run_.fabric, "BSP");
     if (!healthy.ok()) return healthy;
     const double step_seconds = options_.cost_model.PhaseSeconds(run_.meters);
     stats->superstep_seconds.push_back(step_seconds);

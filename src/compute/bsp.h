@@ -16,6 +16,14 @@
 
 namespace trinity::compute {
 
+/// Verifies every machine that owns a trunk in `table` is still up. A crash
+/// mid-run surfaces as a clean Unavailable instead of the engine silently
+/// computing on a shrunken cluster; the caller recovers the cloud and
+/// re-runs (restoring from the last checkpoint when configured). `run`
+/// names the engine in the message. Shared by the BSP and async engines.
+Status CheckClusterHealthy(const cloud::AddressingTable& table,
+                           const net::Fabric& fabric, const char* run);
+
 /// Trinity's vertex-centric bulk-synchronous engine (paper §5.3): a
 /// computation is a sequence of supersteps; in each superstep every active
 /// vertex receives the messages sent to it in the previous superstep, runs
@@ -232,14 +240,9 @@ class BspEngine {
   /// keeps canonical arrival order) and resets the combiner's touched flags.
   static void BuildInbox(MachineState* state);
 
-  /// Owner machine of a vertex (lock-free snapshot of the addressing table
-  /// taken at engine construction; BSP runs assume stable membership).
+  /// Owner machine of a vertex by the pinned table (BSP runs assume stable
+  /// membership).
   MachineId OwnerOf(CellId vertex) const;
-  /// Verifies every machine that owns a trunk is still up. A crash mid-run
-  /// surfaces as a clean Unavailable instead of the engine silently
-  /// computing on a shrunken cluster; the caller recovers the cloud and
-  /// re-runs (restoring from the last checkpoint when configured).
-  Status CheckClusterHealthy() const;
   /// Appends the message to machine src's outbox toward the target's owner.
   void SendMessage(MachineId src, CellId target, Slice message);
   /// Keeps one packed payload for machine (fabric handler; unpacked later
@@ -271,10 +274,9 @@ class BspEngine {
   /// This engine's meters (zeroed per superstep) and handler id.
   net::Fabric::RunScope run_;
   std::vector<MachineState> machines_;
-  std::vector<MachineId> trunk_owner_;
-  /// owns_trunks_[m]: machine m hosts at least one trunk (precomputed so
-  /// CheckClusterHealthy is O(machines), not O(machines × trunks)).
-  std::vector<bool> owns_trunks_;
+  /// The addressing table pinned at construction; every message routes by
+  /// it, lock-free, for the engine's lifetime.
+  const std::shared_ptr<const cloud::AddressingTable> table_;
   std::unique_ptr<ThreadPool> pool_;
   std::string aggregated_;
   int num_slaves_;

@@ -26,11 +26,11 @@ Status MessageOptimizer::Analyze(graph::Graph* graph, MachineId machine,
   const bool directed = graph->options().directed;
   // Resolve the machine's storage once; the per-vertex scan below then never
   // touches the cloud membership mutex.
-  storage::MemoryStorage* store = graph->cloud()->storage(machine);
+  const auto store = graph->cloud()->storage(machine);
   if (store == nullptr) return Status::NotFound("not a slave");
   for (std::uint32_t idx = 0; idx < local.size(); ++idx) {
     Status s = graph->VisitLocalNode(
-        store, local[idx],
+        store.get(), local[idx],
         [&](Slice, const CellId* in, std::size_t in_count, const CellId* out,
             std::size_t out_count) {
           const CellId* from = directed ? in : out;

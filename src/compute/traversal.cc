@@ -10,13 +10,10 @@
 namespace trinity::compute {
 
 TraversalEngine::TraversalEngine(graph::Graph* graph, Options options)
-    : graph_(graph), options_(std::move(options)) {
-  cloud::MemoryCloud* cloud = graph_->cloud();
-  num_slaves_ = cloud->num_slaves();
-  trunk_owner_.resize(cloud->table().num_slots());
-  for (int t = 0; t < cloud->table().num_slots(); ++t) {
-    trunk_owner_[t] = cloud->table().machine_of_trunk(t);
-  }
+    : graph_(graph),
+      options_(std::move(options)),
+      table_(graph->cloud()->table()) {
+  num_slaves_ = graph_->cloud()->num_slaves();
   int threads = options_.num_threads;
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
@@ -29,7 +26,7 @@ TraversalEngine::TraversalEngine(graph::Graph* graph)
     : TraversalEngine(graph, Options()) {}
 
 MachineId TraversalEngine::OwnerOf(CellId vertex) const {
-  return trunk_owner_[graph_->cloud()->TrunkOf(vertex)];
+  return table_->machine_of_trunk(graph_->cloud()->TrunkOf(vertex));
 }
 
 Status TraversalEngine::KHopExplore(CellId start, int max_depth,
@@ -104,7 +101,7 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
       MachineRound& round = rounds[m];
       round.status = Status::OK();
       net::Fabric::MeterScope meter(fabric, m, &run.meters);
-      storage::MemoryStorage* store = cloud->storage(m);
+      const auto store = cloud->storage(m);
       // Shared expansion body: runs the user visitor and buckets neighbors,
       // identical for locally-visited and batch-fetched vertices.
       const auto expand_node = [&](const FrontierEntry& entry, Slice data,
@@ -130,14 +127,14 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
         }
       };
       // Vertices this round's owner snapshot misrouted to us (the engine's
-      // trunk→owner map is frozen at construction; migration or failover can
-      // strand a vertex elsewhere). Batched into one MultiGet per round.
+      // table is pinned at construction; migration or failover can strand a
+      // vertex elsewhere). Batched into one MultiGet per round.
       std::vector<FrontierEntry> misses;
       for (const FrontierEntry& entry : round.frontier) {
         if (!round.visited.insert(entry.vertex).second) continue;
         ++round.visited_count;
         Status vs = graph_->VisitLocalNode(
-            store, entry.vertex,
+            store.get(), entry.vertex,
             [&](Slice data, const CellId*, std::size_t, const CellId* out,
                 std::size_t out_count) {
               expand_node(entry, data, out, out_count);

@@ -91,7 +91,8 @@ class TraversalEngine {
 
   graph::Graph* graph_;
   Options options_;
-  std::vector<MachineId> trunk_owner_;
+  /// The addressing table pinned at construction.
+  const std::shared_ptr<const cloud::AddressingTable> table_;
   std::unique_ptr<ThreadPool> pool_;
   int num_slaves_;
 };

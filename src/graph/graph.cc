@@ -204,9 +204,9 @@ Status Graph::OutDegreeFrom(MachineId src, CellId id, std::size_t* out) {
 
 Status Graph::VisitLocalNode(MachineId machine, CellId id,
                              const LocalVisitor& fn) const {
-  storage::MemoryStorage* store = cloud_->storage(machine);
+  const auto store = cloud_->storage(machine);
   if (store == nullptr) return Status::NotFound("not a slave");
-  return VisitLocalNode(store, id, fn);
+  return VisitLocalNode(store.get(), id, fn);
 }
 
 Status Graph::VisitLocalNode(storage::MemoryStorage* store, CellId id,
@@ -246,7 +246,7 @@ Status Graph::VisitLocalNode(storage::MemoryStorage* store, CellId id,
 
 std::vector<CellId> Graph::LocalNodes(MachineId machine) const {
   std::vector<CellId> result;
-  storage::MemoryStorage* store = cloud_->storage(machine);
+  const auto store = cloud_->storage(machine);
   if (store == nullptr) return result;
   for (TrunkId t : store->trunk_ids()) {
     storage::MemoryTrunk* trunk = store->trunk(t);

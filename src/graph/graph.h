@@ -106,9 +106,9 @@ class Graph {
                         const LocalVisitor& fn) const;
 
   /// Same, against an already-resolved storage snapshot. Compute engines
-  /// resolve `cloud()->storage(m)` once per superstep and use this overload
-  /// from worker threads so the per-vertex hot path never touches the cloud
-  /// membership mutex. Concurrent const access is safe: the trunk pins the
+  /// resolve `cloud()->storage(m)` once per superstep, hold that pinned
+  /// pointer, and use this overload from worker threads so the per-vertex
+  /// hot path never touches the cloud membership mutex. Concurrent const access is safe: the trunk pins the
   /// cell under its striped spinlock for the visit.
   Status VisitLocalNode(storage::MemoryStorage* store, CellId id,
                         const LocalVisitor& fn) const;

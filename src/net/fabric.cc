@@ -82,7 +82,7 @@ void Fabric::UnregisterHandler(HandlerId id) {
         buf.messages.begin(), buf.messages.end(),
         [id](const PackedMessage& msg) { return msg.handler == id; });
     for (auto it = stale; it != buf.messages.end(); ++it) {
-      buf.bytes -= it->payload.size() + params_.frame_overhead_bytes;
+      buf.bytes -= it->payload.size() + kFrameOverheadBytes;
       Count(nullptr, &C::dropped, 1);
     }
     buf.messages.erase(stale, buf.messages.end());
@@ -157,7 +157,7 @@ Status Fabric::SendAsync(MachineId src, MachineId dst, HandlerId id,
   if (!params_.pack_messages) {
     // Ablation mode: every message is its own physical transfer.
     for (int c = 0; c < copies; ++c) {
-      AccountTransfer(src, dst, payload.size() + params_.frame_overhead_bytes,
+      AccountTransfer(src, dst, payload.size() + kFrameOverheadBytes,
                       1, run);
       Deliver(src, dst, id, payload, run);
     }
@@ -170,7 +170,7 @@ Status Fabric::SendAsync(MachineId src, MachineId dst, HandlerId id,
     PairBuffer& buf = pair_buffers_[PairIndex(src, dst)];
     for (int c = 0; c < copies; ++c) {
       buf.messages.push_back(PackedMessage{id, payload.ToString(), run});
-      buf.bytes += payload.size() + params_.frame_overhead_bytes;
+      buf.bytes += payload.size() + kFrameOverheadBytes;
     }
     flush_now = buf.bytes >= params_.pack_threshold_bytes;
   }
@@ -197,12 +197,12 @@ Status Fabric::SendPacked(MachineId src, MachineId dst, HandlerId id,
                     ? 1
                     : (payload.size() + params_.pack_threshold_bytes - 1) /
                           params_.pack_threshold_bytes;
-    wire_bytes = payload.size() + transfers * params_.frame_overhead_bytes;
+    wire_bytes = payload.size() + transfers * kFrameOverheadBytes;
   } else {
     // Ablation baseline: the caller packed in vain — meter it as if every
     // logical message went out framed on its own.
     transfers = message_count > 0 ? message_count : 1;
-    wire_bytes = payload.size() + transfers * params_.frame_overhead_bytes;
+    wire_bytes = payload.size() + transfers * kFrameOverheadBytes;
   }
   for (int c = 0; c < copies; ++c) {
     AccountTransfer(src, dst, wire_bytes, transfers, run);
@@ -272,7 +272,7 @@ Status Fabric::Call(MachineId src, MachineId dst, HandlerId id, Slice payload,
   }
   if (src != dst) {
     // Request + response are two physical transfers.
-    AccountTransfer(src, dst, payload.size() + params_.frame_overhead_bytes,
+    AccountTransfer(src, dst, payload.size() + kFrameOverheadBytes,
                     1, run);
   } else {
     Count(run, &C::local_messages, 1);
@@ -283,7 +283,7 @@ Status Fabric::Call(MachineId src, MachineId dst, HandlerId id, Slice payload,
     s = handler(src, payload, response);
   }
   if (src != dst && response != nullptr) {
-    AccountTransfer(dst, src, response->size() + params_.frame_overhead_bytes,
+    AccountTransfer(dst, src, response->size() + kFrameOverheadBytes,
                     1, run);
   }
   MaybeTriggerCrashes(src, dst);

@@ -96,9 +96,10 @@ class Fabric {
     std::size_t pack_threshold_bytes = 64 * 1024;
     /// Disable packing entirely (ablation baseline: one transfer per msg).
     bool pack_messages = true;
-    /// Per-message framing overhead counted on the wire.
-    std::size_t frame_overhead_bytes = 16;
   };
+
+  /// Per-message framing overhead counted on the wire.
+  static constexpr std::size_t kFrameOverheadBytes = 16;
 
   /// Fire-and-forget handler: (source machine, payload).
   using AsyncHandler = std::function<void(MachineId, Slice)>;

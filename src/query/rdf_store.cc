@@ -89,7 +89,7 @@ Status RdfStore::GetObjectsFrom(MachineId src, CellId subject,
 }
 
 Status RdfStore::ScanLocal(MachineId machine, const EntityVisitor& visit) {
-  storage::MemoryStorage* store = cloud_->storage(machine);
+  const auto store = cloud_->storage(machine);
   if (store == nullptr) return Status::NotFound("not a slave");
   for (TrunkId t : store->trunk_ids()) {
     storage::MemoryTrunk* trunk = store->trunk(t);

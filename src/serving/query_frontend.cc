@@ -1,7 +1,5 @@
 #include "serving/query_frontend.h"
 
-#include <chrono>
-
 #include "compute/traversal.h"
 
 namespace trinity::serving {
@@ -19,39 +17,16 @@ QueryFrontend::QueryFrontend(cloud::MemoryCloud* cloud, graph::Graph* graph,
       inflight_per_machine_(static_cast<std::size_t>(cloud->num_endpoints()),
                             0) {}
 
-Status QueryFrontend::Admit(MachineId machine, CallContext* ctx) {
-  std::unique_lock<std::mutex> lock(admission_mu_);
-  auto over_limit = [&] {
-    if (inflight_total_ >= options_.max_inflight_total) return true;
-    return machine >= 0 &&
-           inflight_per_machine_[static_cast<std::size_t>(machine)] >=
-               options_.max_inflight_per_machine;
-  };
-  if (over_limit()) {
-    if (!options_.backpressure_wait || !ctx->has_deadline()) {
-      return Status::ResourceExhausted(
-          machine >= 0
-              ? "admission queue full for machine " + std::to_string(machine)
-              : "admission queue full");
-    }
-    // Backpressure: wait for a slot, charging the wall wait against the
-    // deadline (1 wall µs = 1 simulated µs) so a queued request cannot
-    // outwait its caller.
-    Stopwatch waited;
-    double charged = 0.0;
-    while (over_limit()) {
-      admission_cv_.wait_for(lock, std::chrono::microseconds(100));
-      const double elapsed = waited.ElapsedMicros();
-      ctx->Consume(elapsed - charged);
-      charged = elapsed;
-      Status gate = ctx->Check();
-      if (!gate.ok()) {
-        return gate.IsDeadlineExceeded()
-                   ? Status::DeadlineExceeded(
-                         "deadline expired in the admission queue")
-                   : gate;
-      }
-    }
+Status QueryFrontend::Admit(MachineId machine) {
+  std::lock_guard<std::mutex> lock(admission_mu_);
+  if (inflight_total_ >= options_.max_inflight_total ||
+      (machine >= 0 &&
+       inflight_per_machine_[static_cast<std::size_t>(machine)] >=
+           options_.max_inflight_per_machine)) {
+    return Status::ResourceExhausted(
+        machine >= 0
+            ? "admission queue full for machine " + std::to_string(machine)
+            : "admission queue full");
   }
   ++inflight_total_;
   if (machine >= 0) {
@@ -61,14 +36,11 @@ Status QueryFrontend::Admit(MachineId machine, CallContext* ctx) {
 }
 
 void QueryFrontend::Release(MachineId machine) {
-  {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    --inflight_total_;
-    if (machine >= 0) {
-      --inflight_per_machine_[static_cast<std::size_t>(machine)];
-    }
+  std::lock_guard<std::mutex> lock(admission_mu_);
+  --inflight_total_;
+  if (machine >= 0) {
+    --inflight_per_machine_[static_cast<std::size_t>(machine)];
   }
-  admission_cv_.notify_all();
 }
 
 Status QueryFrontend::Dispatch(const Request& request, CallContext* ctx,
@@ -140,7 +112,7 @@ Status QueryFrontend::Execute(const Request& request, Response* response) {
     target = cloud_->MachineOf(request.id);
   }
 
-  Status admitted = Admit(target, &ctx);
+  Status admitted = Admit(target);
   if (!admitted.ok()) {
     response->status = admitted;
     response->latency_micros = watch.ElapsedMicros();
@@ -172,7 +144,7 @@ Status QueryFrontend::ExecuteTransaction(
 
   // Transactions span arbitrary cells, so they hold a global admission
   // slot only (like batch requests).
-  Status admitted = Admit(-1, &ctx);
+  Status admitted = Admit(-1);
   if (!admitted.ok()) {
     RecordOutcome(admitted, watch.ElapsedMicros());
     return admitted;

@@ -2,7 +2,6 @@
 #define TRINITY_SERVING_QUERY_FRONTEND_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -58,12 +57,6 @@ class QueryFrontend {
     /// at the cap. Batch/traversal requests count only globally.
     int max_inflight_per_machine = 64;
     int max_inflight_total = 256;
-    /// Backpressure instead of immediate shedding: a request finding the
-    /// queue full waits for a slot, charging the wall wait against its
-    /// deadline budget (1 wall µs = 1 simulated µs), and resolves to
-    /// DeadlineExceeded if the budget runs out while queued. Requests
-    /// without a deadline still shed immediately.
-    bool backpressure_wait = false;
     /// Cluster-wide token-bucket retry budget shared by every request
     /// admitted through this frontend. Disable for the retry-storm
     /// ablation (each request then retries to its policy's max_attempts).
@@ -136,7 +129,7 @@ class QueryFrontend {
 
  private:
   /// machine < 0 means "global slot only" (batch/traversal requests).
-  Status Admit(MachineId machine, CallContext* ctx);
+  Status Admit(MachineId machine);
   void Release(MachineId machine);
   Status Dispatch(const Request& request, CallContext* ctx,
                   Response* response);
@@ -151,10 +144,8 @@ class QueryFrontend {
   txn::TxnManager txn_manager_;
   const std::uint64_t degraded_reads_baseline_;
 
-  /// Admission state: inflight counts per machine + global, with a condvar
-  /// for the backpressure_wait mode.
+  /// Admission state: inflight counts per machine + global.
   mutable std::mutex admission_mu_;
-  std::condition_variable admission_cv_;
   std::vector<int> inflight_per_machine_;
   int inflight_total_ = 0;
 

@@ -142,33 +142,7 @@ MemoryTrunk::Stats MemoryStorage::AggregateTrunkStats() const {
     }
   }
   MemoryTrunk::Stats total;
-  for (MemoryTrunk* trunk : snapshot) {
-    const MemoryTrunk::Stats s = trunk->stats();
-    total.live_cells += s.live_cells;
-    total.live_bytes += s.live_bytes;
-    total.reserved_slack += s.reserved_slack;
-    total.dead_bytes += s.dead_bytes;
-    total.used_bytes += s.used_bytes;
-    total.resident_bytes += s.resident_bytes;
-    total.committed_bytes += s.committed_bytes;
-    total.capacity += s.capacity;
-    total.defrag_passes += s.defrag_passes;
-    total.cells_moved += s.cells_moved;
-    total.expansions_in_place += s.expansions_in_place;
-    total.expansions_relocated += s.expansions_relocated;
-    total.compressed_cells += s.compressed_cells;
-    total.compressed_bytes += s.compressed_bytes;
-    total.spilled_cells += s.spilled_cells;
-    total.spilled_bytes += s.spilled_bytes;
-    total.cells_evicted += s.cells_evicted;
-    total.cells_faulted += s.cells_faulted;
-    total.cold_bytes_written += s.cold_bytes_written;
-    total.cold_bytes_read += s.cold_bytes_read;
-    total.shared_reads += s.shared_reads;
-    total.read_lock_contended += s.read_lock_contended;
-    total.write_lock_contended += s.write_lock_contended;
-    total.cell_lock_contended += s.cell_lock_contended;
-  }
+  for (MemoryTrunk* trunk : snapshot) total += trunk->stats();
   return total;
 }
 

@@ -853,6 +853,34 @@ MemoryTrunk::Stats MemoryTrunk::stats() const {
   return s;
 }
 
+MemoryTrunk::Stats& MemoryTrunk::Stats::operator+=(const Stats& o) {
+  live_cells += o.live_cells;
+  live_bytes += o.live_bytes;
+  reserved_slack += o.reserved_slack;
+  dead_bytes += o.dead_bytes;
+  used_bytes += o.used_bytes;
+  resident_bytes += o.resident_bytes;
+  committed_bytes += o.committed_bytes;
+  capacity += o.capacity;
+  defrag_passes += o.defrag_passes;
+  cells_moved += o.cells_moved;
+  expansions_in_place += o.expansions_in_place;
+  expansions_relocated += o.expansions_relocated;
+  compressed_cells += o.compressed_cells;
+  compressed_bytes += o.compressed_bytes;
+  spilled_cells += o.spilled_cells;
+  spilled_bytes += o.spilled_bytes;
+  cells_evicted += o.cells_evicted;
+  cells_faulted += o.cells_faulted;
+  cold_bytes_written += o.cold_bytes_written;
+  cold_bytes_read += o.cold_bytes_read;
+  shared_reads += o.shared_reads;
+  read_lock_contended += o.read_lock_contended;
+  write_lock_contended += o.write_lock_contended;
+  cell_lock_contended += o.cell_lock_contended;
+  return *this;
+}
+
 std::uint64_t MemoryTrunk::cell_count() const {
   auto lock = ReadLock();
   std::uint64_t count = index_.size();

@@ -101,9 +101,6 @@ class MemoryTrunk {
     /// Extra capacity granted on relocation-for-expansion, as a percentage
     /// of the new size (the short-lived reservation).
     int reservation_pct = 50;
-    /// Defragment automatically inside an allocation when the dead-byte
-    /// ratio exceeds this fraction and space is tight.
-    double auto_defrag_dead_ratio = 0.25;
 
     /// Store adjacency-list (node) cells delta-varint encoded when that is
     /// strictly smaller; reads decode transparently. Non-node or unsorted
@@ -153,6 +150,9 @@ class MemoryTrunk {
     std::uint64_t read_lock_contended = 0;   ///< Shared acquisitions blocked.
     std::uint64_t write_lock_contended = 0;  ///< Exclusive acquis. blocked.
     std::uint64_t cell_lock_contended = 0;   ///< Stripe locks not free on try.
+
+    /// Field-wise sum (aggregating over trunks or machines).
+    Stats& operator+=(const Stats& o);
   };
 
   /// Creates a trunk. Fails with OutOfMemory if the reservation cannot be

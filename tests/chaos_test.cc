@@ -586,7 +586,7 @@ TEST(ReplicatedChaosTest, DoubleFailureThenFailbackRestoresFactor) {
         << "seed " << seed << ": double-failure promotion read from TFS";
     EXPECT_EQ(c.cloud->recovery_stats().tfs_fallback_reloads, 0u);
 
-    const cloud::AddressingTable& table = c.cloud->table();
+    auto table = c.cloud->table();
     for (CellId id = 0; id < 96; ++id) {
       std::string out;
       ASSERT_TRUE(c.cloud->GetCell(id, &out).ok())
@@ -596,8 +596,8 @@ TEST(ReplicatedChaosTest, DoubleFailureThenFailbackRestoresFactor) {
     }
     // Two survivors can host only one replica per trunk: graceful degraded
     // factor, never zero.
-    for (TrunkId t = 0; t < table.num_slots(); ++t) {
-      EXPECT_EQ(table.replicas_of_trunk(t).size(), 1u) << "trunk " << t;
+    for (TrunkId t = 0; t < table->num_slots(); ++t) {
+      EXPECT_EQ(table->replicas_of_trunk(t).size(), 1u) << "trunk " << t;
     }
 
     // Failback: the restarted machines rejoin, primaries rebalance onto
@@ -606,12 +606,13 @@ TEST(ReplicatedChaosTest, DoubleFailureThenFailbackRestoresFactor) {
     ASSERT_TRUE(c.cloud->RestartMachine(b).ok());
     c.cloud->RebalanceTrunks();
     c.cloud->DetectAndRecover();
-    for (TrunkId t = 0; t < table.num_slots(); ++t) {
-      const auto& replicas = table.replicas_of_trunk(t);
+    table = c.cloud->table();
+    for (TrunkId t = 0; t < table->num_slots(); ++t) {
+      const auto& replicas = table->replicas_of_trunk(t);
       ASSERT_EQ(replicas.size(), 2u)
           << "seed " << seed << ": trunk " << t << " not back to factor 2";
       std::set<MachineId> holders(replicas.begin(), replicas.end());
-      holders.insert(table.machine_of_trunk(t));
+      holders.insert(table->machine_of_trunk(t));
       EXPECT_EQ(holders.size(), 3u) << "trunk " << t;
     }
     for (CellId id = 0; id < 96; ++id) {
@@ -660,7 +661,7 @@ TEST(ReplicatedChaosTest, StalePrimaryIsFencedAfterPartitionPromotion) {
   // endpoint never went down — it is a live, deposed zombie.
   c.cloud->DetectAndRecover();
   EXPECT_TRUE(c.cloud->fabric().IsMachineUp(victim));
-  EXPECT_TRUE(c.cloud->table().trunks_of(victim).empty())
+  EXPECT_TRUE(c.cloud->table()->trunks_of(victim).empty())
       << "victim still owns trunks after partition promotion";
 
   // Heal the network. The deposed primary can reach everyone again but was

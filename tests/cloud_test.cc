@@ -29,13 +29,6 @@ TEST(AddressingTableTest, MoveBumpsVersion) {
   EXPECT_GT(table.version(), v0);
 }
 
-TEST(AddressingTableTest, EvacuateSpreadsTrunks) {
-  AddressingTable table(4, 4);
-  table.EvacuateMachine(2, {0, 1, 3});
-  EXPECT_TRUE(table.trunks_of(2).empty());
-  EXPECT_GT(table.trunks_of(0).size(), 4u - 1);
-}
-
 TEST(AddressingTableTest, SerializeRoundTrip) {
   AddressingTable table(5, 4);
   table.MoveTrunk(7, 2);
@@ -223,7 +216,7 @@ TEST_F(MemoryCloudFtTest, RecoverFromSnapshotAfterCrash) {
     EXPECT_EQ(out, "snap" + std::to_string(id));
   }
   // The failed machine owns nothing now.
-  EXPECT_TRUE(cloud_->table().trunks_of(2).empty());
+  EXPECT_TRUE(cloud_->table()->trunks_of(2).empty());
 }
 
 TEST_F(MemoryCloudFtTest, BufferedLoggingRecoversPostSnapshotWrites) {
@@ -326,13 +319,13 @@ TEST_F(MemoryCloudTest, LiveTrunkMigration) {
     ASSERT_TRUE(cloud_->AddCell(id, Slice("m" + std::to_string(id))).ok());
   }
   // Move every trunk owned by machine 0 to machine 1.
-  const std::vector<TrunkId> trunks = cloud_->table().trunks_of(0);
+  const std::vector<TrunkId> trunks = cloud_->table()->trunks_of(0);
   ASSERT_FALSE(trunks.empty());
   const auto transfers_before = cloud_->fabric().stats().transfers;
   for (TrunkId t : trunks) {
     ASSERT_TRUE(cloud_->MigrateTrunk(t, 1).ok());
   }
-  EXPECT_TRUE(cloud_->table().trunks_of(0).empty());
+  EXPECT_TRUE(cloud_->table()->trunks_of(0).empty());
   // The image transfers were metered on the fabric.
   EXPECT_GT(cloud_->fabric().stats().transfers, transfers_before);
   // Every cell remains reachable through the updated addressing table.
@@ -342,7 +335,7 @@ TEST_F(MemoryCloudTest, LiveTrunkMigration) {
     EXPECT_EQ(out, "m" + std::to_string(id));
   }
   // Migrating to itself is a no-op; bad arguments are rejected.
-  ASSERT_TRUE(cloud_->MigrateTrunk(cloud_->table().trunks_of(1).front(), 1)
+  ASSERT_TRUE(cloud_->MigrateTrunk(cloud_->table()->trunks_of(1).front(), 1)
                   .ok());
   EXPECT_TRUE(cloud_->MigrateTrunk(-1, 1).IsInvalidArgument());
   EXPECT_TRUE(cloud_->MigrateTrunk(0, 99).IsInvalidArgument());
@@ -356,14 +349,14 @@ TEST_F(MemoryCloudFtTest, RebalanceAfterRejoin) {
   ASSERT_TRUE(cloud_->FailMachine(2).ok());
   ASSERT_TRUE(cloud_->RecoverMachine(2).ok());
   ASSERT_TRUE(cloud_->RestartMachine(2).ok());
-  EXPECT_TRUE(cloud_->table().trunks_of(2).empty());
+  EXPECT_TRUE(cloud_->table()->trunks_of(2).empty());
   const int moved = cloud_->RebalanceTrunks();
   EXPECT_GT(moved, 0);
-  EXPECT_FALSE(cloud_->table().trunks_of(2).empty());
+  EXPECT_FALSE(cloud_->table()->trunks_of(2).empty());
   // Ownership is balanced within one trunk across alive slaves.
   std::size_t min_count = ~std::size_t{0}, max_count = 0;
   for (MachineId m = 0; m < cloud_->num_slaves(); ++m) {
-    const std::size_t count = cloud_->table().trunks_of(m).size();
+    const std::size_t count = cloud_->table()->trunks_of(m).size();
     min_count = std::min(min_count, count);
     max_count = std::max(max_count, count);
   }
@@ -400,9 +393,14 @@ TEST_F(MemoryCloudTest, StaleReplicaResyncsTransparently) {
   // the old owner for the migrated trunk. The first access fails over
   // there ("trunk not hosted"), re-syncs from the primary and succeeds.
   cloud_->DesyncReplicaForTest(cloud_->client_id());
+  const std::uint64_t before = cloud_->fabric().stats().sync_calls;
   std::string out;
   ASSERT_TRUE(cloud_->GetCell(11, &out).ok());
   EXPECT_EQ(out, "moved");
+  EXPECT_EQ(cloud_->fabric().stats().sync_calls - before, 2u);
+  // Re-synced: the next access goes straight to the new owner.
+  ASSERT_TRUE(cloud_->GetCell(11, &out).ok());
+  EXPECT_EQ(cloud_->fabric().stats().sync_calls - before, 3u);
 }
 
 TEST_F(MemoryCloudFtTest, RestartWithoutRecoveryIsPermanentlyStale) {

@@ -651,8 +651,8 @@ TEST(BspEngineTest, RestoreFollowsVerticesMovedByFailover) {
   }
   ASSERT_TRUE(f.cloud->FailMachine(1).ok());
   ASSERT_TRUE(f.cloud->RecoverMachine(1).ok());
-  for (TrunkId t = 0; t < f.cloud->table().num_slots(); ++t) {
-    ASSERT_NE(f.cloud->table().machine_of_trunk(t), 1);
+  for (TrunkId t = 0; t < f.cloud->table()->num_slots(); ++t) {
+    ASSERT_NE(f.cloud->table()->machine_of_trunk(t), 1);
   }
   options.superstep_limit = 8;
   BspEngine resumed(f.graph.get(), options);
@@ -693,8 +693,8 @@ TEST(BspEngineTest, RerunAfterCrashAbortSeesNoStaleMessages) {
   }
   constexpr MachineId kVictim = 1;
   std::vector<TrunkId> victim_trunks;
-  for (TrunkId t = 0; t < f.cloud->table().num_slots(); ++t) {
-    if (f.cloud->table().machine_of_trunk(t) == kVictim) {
+  for (TrunkId t = 0; t < f.cloud->table()->num_slots(); ++t) {
+    if (f.cloud->table()->machine_of_trunk(t) == kVictim) {
       victim_trunks.push_back(t);
     }
   }

@@ -138,6 +138,22 @@ CellId CellOwnedBy(cloud::MemoryCloud* cloud, MachineId machine) {
   return 0;
 }
 
+// Every alive endpoint reaches the owner of `id` in one sync call, or none
+// when it is the owner: a stale route would add a failed call and a retry.
+void ExpectFreshRoutes(cloud::MemoryCloud* cloud, CellId id) {
+  const MachineId owner =
+      cloud->table()->machine_of_trunk(cloud->TrunkOf(id));
+  for (MachineId src = 0; src < cloud->num_endpoints(); ++src) {
+    if (!cloud->fabric().IsMachineUp(src)) continue;
+    const std::uint64_t before = cloud->fabric().stats().sync_calls;
+    std::string out;
+    EXPECT_TRUE(cloud->GetCellFrom(src, id, &out).ok()) << "from " << src;
+    EXPECT_EQ(cloud->fabric().stats().sync_calls - before,
+              src == owner ? 0u : 1u)
+        << "cell " << id << " from " << src;
+  }
+}
+
 // ------------------------------------------------------------- protocol
 
 TEST(ReplicationTest, CreateRejectsReplicationPlusBufferedLogging) {
@@ -157,12 +173,12 @@ TEST(ReplicationTest, CreateRejectsReplicationPlusBufferedLogging) {
 
 TEST(ReplicationTest, EveryTrunkSeededWithDistinctReplicas) {
   Cluster c = NewReplicatedCluster("seed", 2, /*with_tfs=*/false);
-  const cloud::AddressingTable& table = c.cloud->table();
-  for (TrunkId t = 0; t < table.num_slots(); ++t) {
-    const auto& replicas = table.replicas_of_trunk(t);
+  const auto table = c.cloud->table();
+  for (TrunkId t = 0; t < table->num_slots(); ++t) {
+    const auto& replicas = table->replicas_of_trunk(t);
     ASSERT_EQ(replicas.size(), 2u);
     std::set<MachineId> holders(replicas.begin(), replicas.end());
-    holders.insert(table.machine_of_trunk(t));
+    holders.insert(table->machine_of_trunk(t));
     EXPECT_EQ(holders.size(), 3u) << "trunk " << t;
     // Each replica machine actually hosts the replica trunk.
     for (MachineId r : replicas) {
@@ -176,10 +192,10 @@ TEST(ReplicationTest, WritesReachEveryInSyncReplica) {
   for (CellId id = 0; id < 64; ++id) {
     ASSERT_TRUE(c.cloud->PutCell(id, Slice("v" + std::to_string(id))).ok());
   }
-  const cloud::AddressingTable& table = c.cloud->table();
+  const auto table = c.cloud->table();
   for (CellId id = 0; id < 64; ++id) {
     const TrunkId t = c.cloud->TrunkOf(id);
-    for (MachineId r : table.replicas_of_trunk(t)) {
+    for (MachineId r : table->replicas_of_trunk(t)) {
       storage::MemoryTrunk* replica = c.cloud->storage(r)->replica_trunk(t);
       ASSERT_NE(replica, nullptr);
       std::string out;
@@ -191,9 +207,17 @@ TEST(ReplicationTest, WritesReachEveryInSyncReplica) {
   // Removes and appends mirror too.
   ASSERT_TRUE(c.cloud->RemoveCell(7).ok());
   const TrunkId t7 = c.cloud->TrunkOf(7);
-  for (MachineId r : table.replicas_of_trunk(t7)) {
+  for (MachineId r : table->replicas_of_trunk(t7)) {
     EXPECT_FALSE(c.cloud->storage(r)->replica_trunk(t7)->Contains(7));
   }
+  // A dead replica holder is shrunk out of the in-sync set by the next
+  // write; the shrink's broadcast leaves every route fresh.
+  MachineId dead = table->replicas_of_trunk(t7)[0];
+  if (dead == c.cloud->leader()) dead = table->replicas_of_trunk(t7)[1];
+  ASSERT_TRUE(c.cloud->FailMachine(dead).ok());
+  ASSERT_TRUE(c.cloud->PutCell(7, Slice("shrunk")).ok());
+  EXPECT_EQ(c.cloud->table()->replicas_of_trunk(t7).size(), 1u);
+  ExpectFreshRoutes(c.cloud.get(), 7);
 }
 
 TEST(ReplicationTest, DegradedReadServedByReplicaWhilePrimaryDown) {
@@ -213,7 +237,7 @@ TEST(ReplicationTest, DegradedReadServedByReplicaWhilePrimaryDown) {
   ASSERT_TRUE(c.cloud->Contains(id, &exists).ok());
   EXPECT_TRUE(exists);
   EXPECT_GE(c.cloud->recovery_stats().degraded_reads, 2u);
-  EXPECT_EQ(c.cloud->table().machine_of_trunk(c.cloud->TrunkOf(id)), victim)
+  EXPECT_EQ(c.cloud->table()->machine_of_trunk(c.cloud->TrunkOf(id)), victim)
       << "promotion ran even though auto_promote is off";
 
   // Writes to the affected trunk stay retryable until promotion lands.
@@ -253,6 +277,7 @@ TEST(ReplicationTest, PromotionIsMetadataOnlyZeroTfsReads) {
   EXPECT_GT(rs.promotions, 0u);
   EXPECT_EQ(rs.tfs_fallback_reloads, 0u);
   EXPECT_GT(rs.last_promote_micros, 0u);
+  ExpectFreshRoutes(c.cloud.get(), id);
 
   // Every pre-failure value survived in memory.
   for (CellId i = 0; i < 64; ++i) {
@@ -270,9 +295,9 @@ TEST(ReplicationTest, TfsColdTierUsedOnlyWhenEveryReplicaIsLost) {
   ASSERT_TRUE(c.cloud->SaveSnapshot().ok());
   // Pick a trunk and kill both its primary and its single replica.
   const TrunkId t = 0;
-  const MachineId primary = c.cloud->table().machine_of_trunk(t);
-  ASSERT_EQ(c.cloud->table().replicas_of_trunk(t).size(), 1u);
-  const MachineId replica = c.cloud->table().replicas_of_trunk(t)[0];
+  const MachineId primary = c.cloud->table()->machine_of_trunk(t);
+  ASSERT_EQ(c.cloud->table()->replicas_of_trunk(t).size(), 1u);
+  const MachineId replica = c.cloud->table()->replicas_of_trunk(t)[0];
   ASSERT_TRUE(c.cloud->FailMachine(primary).ok());
   ASSERT_TRUE(c.cloud->FailMachine(replica).ok());
 
@@ -289,12 +314,20 @@ TEST(ReplicationTest, TfsColdTierUsedOnlyWhenEveryReplicaIsLost) {
       << "trunk image reload did not meter bytes_read";
   EXPECT_EQ(after.bytes_read, c.tfs->bytes_read());  // Lock-free view agrees.
 
+  // Routes are fresh after the reload.
+  CellId in_t = 0;
+  while (c.cloud->TrunkOf(in_t) != t) ++in_t;
+  ExpectFreshRoutes(c.cloud.get(), in_t);
+
   // Snapshot-covered data is back; every cell is readable somewhere.
   for (CellId id = 0; id < 64; ++id) {
     std::string out;
     ASSERT_TRUE(c.cloud->GetCell(id, &out).ok()) << "cell " << id;
     EXPECT_EQ(out, "c" + std::to_string(id));
   }
+  // A machine restarted after missing the reload's broadcast routes fresh.
+  ASSERT_TRUE(c.cloud->RestartMachine(primary).ok());
+  ExpectFreshRoutes(c.cloud.get(), in_t);
 }
 
 TEST(ReplicationTest, SweepReportSurfacesUnrecoverableMachines) {
@@ -303,8 +336,8 @@ TEST(ReplicationTest, SweepReportSurfacesUnrecoverableMachines) {
   // and must leave the machine down for the next sweep to retry.
   Cluster c = NewReplicatedCluster("report", 1, /*with_tfs=*/false);
   const TrunkId t = 0;
-  const MachineId primary = c.cloud->table().machine_of_trunk(t);
-  const MachineId replica = c.cloud->table().replicas_of_trunk(t)[0];
+  const MachineId primary = c.cloud->table()->machine_of_trunk(t);
+  const MachineId replica = c.cloud->table()->replicas_of_trunk(t)[0];
   ASSERT_TRUE(c.cloud->FailMachine(primary).ok());
   ASSERT_TRUE(c.cloud->FailMachine(replica).ok());
 
@@ -337,16 +370,16 @@ TEST(ReplicationTest, RecoveryRequestForLivePrimaryIsRefused) {
   }
   // No snapshot: a trunk recreated empty would lose its cells for good.
   const TrunkId t = c.cloud->TrunkOf(0);
-  const MachineId primary = c.cloud->table().machine_of_trunk(t);
-  const MachineId replica = c.cloud->table().replicas_of_trunk(t)[0];
+  const MachineId primary = c.cloud->table()->machine_of_trunk(t);
+  const MachineId replica = c.cloud->table()->replicas_of_trunk(t)[0];
   ASSERT_TRUE(c.cloud->FailMachine(replica).ok());
 
-  const std::uint64_t version = c.cloud->table().version();
+  const std::uint64_t version = c.cloud->table()->version();
   const Status s = c.cloud->RecoverMachine(primary);
   EXPECT_TRUE(s.IsAlreadyExists()) << s.message();
-  EXPECT_EQ(c.cloud->table().version(), version);
+  EXPECT_EQ(c.cloud->table()->version(), version);
   EXPECT_TRUE(c.cloud->fabric().IsMachineUp(primary));
-  EXPECT_EQ(c.cloud->table().machine_of_trunk(t), primary);
+  EXPECT_EQ(c.cloud->table()->machine_of_trunk(t), primary);
 
   for (CellId id = 0; id < 96; ++id) {
     std::string out;
@@ -366,17 +399,17 @@ TEST(ReplicationTest, SweepRefusesToDeposeTheOnlyCopyHolder) {
     ASSERT_TRUE(c.cloud->PutCell(id, Slice("s" + std::to_string(id))).ok());
   }
   // Primary and replica both off the leader, which must keep probing.
-  const cloud::AddressingTable& table = c.cloud->table();
+  const auto table = c.cloud->table();
   TrunkId t = 0;
-  while (t < table.num_slots() &&
-         (table.machine_of_trunk(t) == c.cloud->leader() ||
-          table.replicas_of_trunk(t)[0] == c.cloud->leader())) {
+  while (t < table->num_slots() &&
+         (table->machine_of_trunk(t) == c.cloud->leader() ||
+          table->replicas_of_trunk(t)[0] == c.cloud->leader())) {
     ++t;
   }
-  ASSERT_LT(t, table.num_slots());
-  const MachineId primary = table.machine_of_trunk(t);
-  const MachineId replica = table.replicas_of_trunk(t)[0];
-  const std::vector<TrunkId> owned = table.trunks_of(primary);
+  ASSERT_LT(t, table->num_slots());
+  const MachineId primary = table->machine_of_trunk(t);
+  const MachineId replica = table->replicas_of_trunk(t)[0];
+  const std::vector<TrunkId> owned = table->trunks_of(primary);
   ASSERT_TRUE(c.cloud->FailMachine(replica).ok());
   std::vector<MachineId> rest;
   for (MachineId m = 0; m <= c.cloud->client_id(); ++m) {
@@ -395,7 +428,7 @@ TEST(ReplicationTest, SweepRefusesToDeposeTheOnlyCopyHolder) {
   EXPECT_TRUE(refused) << "sweep did not report the sole-copy holder";
   EXPECT_TRUE(c.cloud->fabric().IsMachineUp(primary));
   for (TrunkId u : owned) {
-    EXPECT_EQ(table.machine_of_trunk(u), primary) << "trunk " << u;
+    EXPECT_EQ(c.cloud->table()->machine_of_trunk(u), primary) << "trunk " << u;
   }
 
   c.injector->ClearPartitions();
@@ -423,11 +456,11 @@ TEST(ReplicationTest, ReReplicationRestoresTheFactor) {
 
   // With 3 survivors, every trunk supports at most 2 holders beyond its
   // primary; the factor must be fully restored across them.
-  const cloud::AddressingTable& table = c.cloud->table();
-  for (TrunkId t = 0; t < table.num_slots(); ++t) {
-    const MachineId primary = table.machine_of_trunk(t);
+  const auto table = c.cloud->table();
+  for (TrunkId t = 0; t < table->num_slots(); ++t) {
+    const MachineId primary = table->machine_of_trunk(t);
     EXPECT_NE(primary, victim);
-    const auto& replicas = table.replicas_of_trunk(t);
+    const auto& replicas = table->replicas_of_trunk(t);
     ASSERT_EQ(replicas.size(), 2u) << "trunk " << t << " under-replicated";
     std::set<MachineId> holders(replicas.begin(), replicas.end());
     holders.insert(primary);
@@ -446,7 +479,7 @@ TEST(ReplicationTest, ReReplicationRestoresTheFactor) {
   // The restored replicas are in sync: writes after repair reach them.
   ASSERT_TRUE(c.cloud->PutCell(1, Slice("post-repair")).ok());
   const TrunkId t1 = c.cloud->TrunkOf(1);
-  for (MachineId r : table.replicas_of_trunk(t1)) {
+  for (MachineId r : table->replicas_of_trunk(t1)) {
     std::string out;
     ASSERT_TRUE(
         c.cloud->storage(r)->replica_trunk(t1)->GetCell(1, &out).ok());
@@ -503,13 +536,17 @@ TEST(ReplicationTest, MigrationMovesPrimaryOffReplicaHolder) {
   // Migrate a trunk onto one of its replica holders: the stale replica image
   // must be dropped and the machine must leave the in-sync set.
   const TrunkId t = 0;
-  const MachineId dest = c.cloud->table().replicas_of_trunk(t)[0];
+  const MachineId dest = c.cloud->table()->replicas_of_trunk(t)[0];
   ASSERT_TRUE(c.cloud->MigrateTrunk(t, dest).ok());
-  EXPECT_EQ(c.cloud->table().machine_of_trunk(t), dest);
-  const auto& replicas = c.cloud->table().replicas_of_trunk(t);
+  EXPECT_EQ(c.cloud->table()->machine_of_trunk(t), dest);
+  const auto table = c.cloud->table();
+  const auto& replicas = table->replicas_of_trunk(t);
   EXPECT_EQ(std::find(replicas.begin(), replicas.end(), dest),
             replicas.end());
   EXPECT_EQ(c.cloud->storage(dest)->replica_trunk(t), nullptr);
+  CellId in_t = 0;
+  while (c.cloud->TrunkOf(in_t) != t) ++in_t;
+  ExpectFreshRoutes(c.cloud.get(), in_t);
   // Data still readable and writable through the new primary.
   for (CellId id = 0; id < 32; ++id) {
     std::string out;

@@ -641,6 +641,76 @@ TEST(ServingChaosTest, KillMidLoadEveryRequestResolvesTerminal) {
   std::filesystem::remove_all(tfs_options.root);
 }
 
+// k-hop requests pin the addressing table while inline recovery rewrites
+// it: each round kills the owner of a written key and writes the key through
+// the frontend, whose routing promotes the key's replica. Every request
+// resolves to a terminal status, and under TSan no engine reads the table
+// while recovery moves a trunk.
+TEST(ServingChaosTest, KHopsBesideInlineRecoveryResolveTerminal) {
+  const std::uint64_t seed = 0x7AB1E + SeedOffset();
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  ServingCluster c = NewServingCluster(seed, /*slaves=*/4,
+                                       /*replication_factor=*/1);
+  graph::Graph graph(c.cloud.get());
+  ASSERT_TRUE(graph::Generators::Load(
+                  &graph, graph::Generators::Rmat(256, 4.0, seed),
+                  /*with_names=*/false, seed)
+                  .ok());
+  QueryFrontend frontend(c.cloud.get(), &graph, QueryFrontend::Options());
+  const auto terminal = [](const Status& s) {
+    return s.ok() || s.IsNotFound() || s.IsDeadlineExceeded() ||
+           s.IsResourceExhausted() || s.IsUnavailable() || s.IsTimedOut() ||
+           s.IsAborted();
+  };
+  constexpr CellId kKey = CellId{1} << 40;  // Not a graph vertex.
+  QueryFrontend::Request put;
+  put.type = QueryFrontend::RequestType::kPut;
+  put.id = kKey;
+  put.payload = "round0";
+  QueryFrontend::Response response;
+  ASSERT_TRUE(frontend.Execute(put, &response).ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> khops{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      CellId start = static_cast<CellId>(t);
+      do {
+        QueryFrontend::Request khop;
+        khop.type = QueryFrontend::RequestType::kKHop;
+        khop.id = start;
+        khop.hops = 2;
+        QueryFrontend::Response r;
+        const Status s = frontend.Execute(khop, &r);
+        EXPECT_TRUE(terminal(s)) << s.ToString();
+        khops.fetch_add(1);
+        start = (start + 7) % 256;
+      } while (!done.load());
+    });
+  }
+  for (int round = 1; round <= 12; ++round) {
+    const MachineId owner = c.cloud->MachineOf(kKey);
+    if (!c.cloud->FailMachine(owner).ok()) break;
+    put.payload = "round" + std::to_string(round);
+    const Status s = frontend.Execute(put, &response);
+    EXPECT_TRUE(s.ok()) << "round " << round << ": " << s.ToString();
+    EXPECT_NE(c.cloud->MachineOf(kKey), owner);
+    // Back to four machines and factor 1 before the next kill.
+    EXPECT_TRUE(c.cloud->RestartMachine(owner).ok());
+    c.cloud->DetectAndRecover();
+  }
+  done.store(true);
+  for (std::thread& r : readers) r.join();
+
+  EXPECT_GE(khops.load(), 2u);
+  const ServingStats stats = frontend.stats();
+  EXPECT_EQ(stats.latency_count, stats.received);
+  std::string out;
+  ASSERT_TRUE(c.cloud->GetCell(kKey, &out).ok());
+  EXPECT_EQ(out, "round12");
+}
+
 // NetworkStats call counts prove the token bucket bounds amplification: a
 // dead-path workload with the budget enabled issues a fraction of the sync
 // calls the no-budget ablation issues. Single-threaded and fully seeded, so
