@@ -155,7 +155,7 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
           if (!reader.GetU64(&id)) {
             return Status::Corruption("bad multi-get request");
           }
-          storage::MemoryTrunk* trunk = store->trunk(TrunkOf(id));
+          auto trunk = store->trunk(TrunkOf(id));
           if (trunk == nullptr) {
             // The caller's table replica is stale for this id. Fail the
             // whole batch so the caller re-routes each id individually —
@@ -249,7 +249,7 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
         }
         auto store = StorageOf(m);
         if (store == nullptr) return Status::Unavailable("not a slave");
-        storage::MemoryTrunk* replica = store->replica_trunk(trunk_id);
+        auto replica = store->replica_trunk(trunk_id);
         if (replica == nullptr) {
           return Status::Unavailable("no replica trunk hosted");
         }
@@ -300,7 +300,7 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
         }
         auto store = StorageOf(m);
         if (store == nullptr) return Status::Unavailable("not a slave");
-        storage::MemoryTrunk* replica = store->replica_trunk(trunk_id);
+        auto replica = store->replica_trunk(trunk_id);
         if (replica == nullptr) {
           return Status::Unavailable("no replica trunk hosted");
         }
@@ -408,7 +408,7 @@ Status MemoryCloud::ExecuteLocal(MachineId m, CellOp op, CellId id,
                                  Slice payload, std::string* response) {
   auto store = StorageOf(m);
   if (store == nullptr) return Status::Unavailable("not a slave");
-  storage::MemoryTrunk* trunk = store->trunk(TrunkOf(id));
+  auto trunk = store->trunk(TrunkOf(id));
   if (trunk == nullptr) {
     // The caller's addressing-table replica is stale.
     return Status::Unavailable("trunk not hosted");
@@ -791,7 +791,7 @@ Status MemoryCloud::MultiOp(MachineId src, CellOp op,
       // Local group: answer straight from the trunks, one accessor per id.
       net::Fabric::MeterScope meter(*fabric_, src, net::MetersOf(ctx));
       for (std::size_t i : indices) {
-        storage::MemoryTrunk* trunk = store->trunk(TrunkOf(ids[i]));
+        auto trunk = store->trunk(TrunkOf(ids[i]));
         if (trunk == nullptr) {
           fallback.push_back(i);  // Snapshot was stale for this id.
           continue;

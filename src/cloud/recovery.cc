@@ -255,7 +255,7 @@ Status MemoryCloud::Recover(MachineId failed, bool depose) {
     const MachineId owner = primary_table_.machine_of_trunk(t);
     auto owner_store = StorageOf(owner);
     if (owner_store == nullptr) continue;
-    storage::MemoryTrunk* trunk = owner_store->trunk(t);
+    auto trunk = owner_store->trunk(t);
     if (trunk == nullptr) continue;
     switch (record.op) {
       case CellOp::kAdd:
@@ -420,7 +420,7 @@ int MemoryCloud::ReReplicate() {
   ThreadPool pool(0);
   pool.ParallelFor(static_cast<int>(jobs.size()), [&](int i) {
     auto store = StorageOf(jobs[i].primary);
-    storage::MemoryTrunk* source =
+    std::shared_ptr<storage::MemoryTrunk> source =
         store == nullptr ? nullptr : store->trunk(jobs[i].trunk);
     if (source == nullptr) {
       serialize_status[i] = Status::Unavailable("source trunk vanished");
@@ -549,7 +549,7 @@ Status MemoryCloud::MigrateTrunk(TrunkId trunk, MachineId to) {
   if (from_store == nullptr) {
     return Status::Unavailable("source machine is down");
   }
-  storage::MemoryTrunk* source = from_store->trunk(trunk);
+  auto source = from_store->trunk(trunk);
   if (source == nullptr) return Status::NotFound("trunk not hosted at source");
   std::string image;
   {

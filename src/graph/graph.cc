@@ -212,7 +212,7 @@ Status Graph::VisitLocalNode(MachineId machine, CellId id,
 Status Graph::VisitLocalNode(storage::MemoryStorage* store, CellId id,
                              const LocalVisitor& fn) const {
   if (store == nullptr) return Status::NotFound("not a slave");
-  storage::MemoryTrunk* trunk = store->trunk(cloud_->TrunkOf(id));
+  auto trunk = store->trunk(cloud_->TrunkOf(id));
   if (trunk == nullptr) return Status::NotFound("node not local");
   storage::MemoryTrunk::ConstAccessor accessor;
   Status s = trunk->Access(id, &accessor);
@@ -249,7 +249,7 @@ std::vector<CellId> Graph::LocalNodes(MachineId machine) const {
   const auto store = cloud_->storage(machine);
   if (store == nullptr) return result;
   for (TrunkId t : store->trunk_ids()) {
-    storage::MemoryTrunk* trunk = store->trunk(t);
+    auto trunk = store->trunk(t);
     if (trunk == nullptr) continue;
     std::vector<CellId> ids = trunk->CellIds();
     result.insert(result.end(), ids.begin(), ids.end());

@@ -92,7 +92,7 @@ Status RdfStore::ScanLocal(MachineId machine, const EntityVisitor& visit) {
   const auto store = cloud_->storage(machine);
   if (store == nullptr) return Status::NotFound("not a slave");
   for (TrunkId t : store->trunk_ids()) {
-    storage::MemoryTrunk* trunk = store->trunk(t);
+    auto trunk = store->trunk(t);
     if (trunk == nullptr) continue;
     for (CellId id : trunk->CellIds()) {
       storage::MemoryTrunk::ConstAccessor accessor;

@@ -29,10 +29,16 @@ Status MemoryStorage::DetachTrunk(TrunkId trunk_id) {
   return Status::OK();
 }
 
-MemoryTrunk* MemoryStorage::trunk(TrunkId trunk_id) const {
+std::shared_ptr<MemoryTrunk> MemoryStorage::trunk(TrunkId trunk_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = trunks_.find(trunk_id);
-  return it == trunks_.end() ? nullptr : it->second.get();
+  return it == trunks_.end() ? nullptr : it->second;
+}
+
+std::vector<std::pair<TrunkId, std::shared_ptr<MemoryTrunk>>>
+MemoryStorage::PinTrunks() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return {trunks_.begin(), trunks_.end()};
 }
 
 std::vector<TrunkId> MemoryStorage::trunk_ids() const {
@@ -63,10 +69,11 @@ Status MemoryStorage::AttachReplicaTrunk(TrunkId trunk_id,
   return Status::OK();
 }
 
-MemoryTrunk* MemoryStorage::replica_trunk(TrunkId trunk_id) const {
+std::shared_ptr<MemoryTrunk> MemoryStorage::replica_trunk(
+    TrunkId trunk_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = replica_trunks_.find(trunk_id);
-  return it == replica_trunks_.end() ? nullptr : it->second.get();
+  return it == replica_trunks_.end() ? nullptr : it->second;
 }
 
 Status MemoryStorage::DetachReplicaTrunk(TrunkId trunk_id) {
@@ -133,29 +140,17 @@ std::uint64_t MemoryStorage::TotalCellCount() const {
 }
 
 MemoryTrunk::Stats MemoryStorage::AggregateTrunkStats() const {
-  std::vector<MemoryTrunk*> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [id, trunk] : trunks_) {
-      (void)id;
-      snapshot.push_back(trunk.get());
-    }
-  }
   MemoryTrunk::Stats total;
-  for (MemoryTrunk* trunk : snapshot) total += trunk->stats();
+  for (const auto& [id, trunk] : PinTrunks()) {
+    (void)id;
+    total += trunk->stats();
+  }
   return total;
 }
 
 Status MemoryStorage::SaveToTfs(tfs::Tfs* tfs,
                                 const std::string& prefix) const {
-  std::vector<std::pair<TrunkId, MemoryTrunk*>> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [id, trunk] : trunks_) {
-      snapshot.emplace_back(id, trunk.get());
-    }
-  }
-  for (const auto& [id, trunk] : snapshot) {
+  for (const auto& [id, trunk] : PinTrunks()) {
     std::string image;
     Status s = trunk->Serialize(&image);
     if (!s.ok()) return s;
@@ -208,16 +203,9 @@ void MemoryStorage::StopDefragDaemon() {
 }
 
 std::uint64_t MemoryStorage::DefragSweep() {
-  std::vector<MemoryTrunk*> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [id, trunk] : trunks_) {
-      (void)id;
-      snapshot.push_back(trunk.get());
-    }
-  }
   std::uint64_t reclaimed = 0;
-  for (MemoryTrunk* trunk : snapshot) {
+  for (const auto& [id, trunk] : PinTrunks()) {
+    (void)id;
     const MemoryTrunk::Stats stats = trunk->stats();
     if (stats.used_bytes == 0) continue;
     const double wasted = static_cast<double>(stats.dead_bytes +

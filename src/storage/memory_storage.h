@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -50,8 +51,10 @@ class MemoryStorage {
   /// Drops a trunk (after it migrated to another machine).
   Status DetachTrunk(TrunkId trunk_id);
 
-  /// Trunk lookup; returns nullptr if the trunk is not hosted here.
-  MemoryTrunk* trunk(TrunkId trunk_id) const;
+  /// Trunk lookup; returns nullptr if the trunk is not hosted here. The
+  /// returned pointer pins the trunk: hold it for the whole operation, so
+  /// a concurrent DetachTrunk (migration) cannot free it underneath.
+  std::shared_ptr<MemoryTrunk> trunk(TrunkId trunk_id) const;
 
   std::vector<TrunkId> trunk_ids() const;
 
@@ -72,7 +75,8 @@ class MemoryStorage {
                             std::unique_ptr<MemoryTrunk> trunk);
 
   /// Replica lookup; nullptr when this machine holds no replica of it.
-  MemoryTrunk* replica_trunk(TrunkId trunk_id) const;
+  /// Pins the replica like trunk() does.
+  std::shared_ptr<MemoryTrunk> replica_trunk(TrunkId trunk_id) const;
 
   /// Drops a replica (replication factor restored elsewhere, or the trunk
   /// migrated onto this machine).
@@ -115,10 +119,14 @@ class MemoryStorage {
   std::uint64_t DefragSweep();
 
  private:
+  /// The hosted primary trunks, pinned, for a pass that runs without mu_.
+  std::vector<std::pair<TrunkId, std::shared_ptr<MemoryTrunk>>> PinTrunks()
+      const;
+
   const Options options_;
   mutable std::mutex mu_;
-  std::map<TrunkId, std::unique_ptr<MemoryTrunk>> trunks_;
-  std::map<TrunkId, std::unique_ptr<MemoryTrunk>> replica_trunks_;
+  std::map<TrunkId, std::shared_ptr<MemoryTrunk>> trunks_;
+  std::map<TrunkId, std::shared_ptr<MemoryTrunk>> replica_trunks_;
 
   std::thread defrag_thread_;
   std::mutex daemon_mu_;

@@ -13,9 +13,7 @@ namespace trinity::storage {
 
 namespace {
 
-/// Leading u64 of version-2 trunk images. Version-1 images start with the
-/// cell count instead; no real trunk holds ~6e18 cells, so the magic is
-/// unambiguous and legacy images stay readable.
+/// Leading u64 of trunk images.
 constexpr std::uint64_t kTrunkImageMagic = 0x54524e4b494d4732ull;  // TRNKIMG2
 
 /// Distinguishes cold-page prefixes across trunk incarnations (replicas,
@@ -214,55 +212,112 @@ Status MemoryTrunk::AllocateLocked(std::uint64_t span,
   return Status::OutOfMemory("trunk full");
 }
 
-Status MemoryTrunk::AppendEntryLocked(CellId id, Slice payload,
-                                      std::uint64_t capacity,
-                                      std::uint64_t* logical,
-                                      CellFormat format) {
-  if (capacity < payload.size()) capacity = payload.size();
+MemoryTrunk::StoredForm MemoryTrunk::Encode(Slice payload,
+                                            std::string* buf) const {
+  if (options_.compress_adjacency && CellCodec::EncodeAdjacency(payload, buf)) {
+    return {CellFormat::kAdjDelta, Slice(*buf)};
+  }
+  return {CellFormat::kRaw, payload};
+}
+
+void MemoryTrunk::CountEntryLocked(const EntryHeader* hdr, bool add) {
+  // Unsigned wraparound: multiplying by ~0 subtracts.
+  const std::uint64_t sign = add ? 1 : ~std::uint64_t{0};
+  const std::uint64_t size = hdr->size;
+  stats_.live_cells += sign;
+  stats_.live_bytes += sign * size;
+  stats_.reserved_slack += sign * (CapOf(hdr) - size);
+  if (FormatOf(hdr) == CellFormat::kAdjDelta) {
+    stats_.compressed_cells += sign;
+    stats_.compressed_bytes += sign * size;
+  }
+}
+
+Status MemoryTrunk::InstallStoredLocked(CellId id, StoredForm stored,
+                                        std::uint64_t reserve,
+                                        std::uint64_t* replaced) {
+  const std::uint64_t capacity = stored.bytes.size() + reserve;
   if (capacity > kCapacityMask) {
     return Status::InvalidArgument("cell exceeds 1 GB capacity cap");
   }
-  const std::uint64_t span = EntrySpan(capacity);
-  Status s = AllocateLocked(span, logical);
-  if (!s.ok()) return s;
-  EntryHeader* hdr = HeaderAt(*logical);
-  hdr->id = id;
-  hdr->size = static_cast<std::uint32_t>(payload.size());
-  SetCapFormat(hdr, capacity, format);
-  if (!payload.empty()) {
-    std::memcpy(PhysPtr(*logical) + kHeaderSize, payload.data(),
-                payload.size());
-  }
-  return Status::OK();
-}
-
-Status MemoryTrunk::InstallStoredLocked(CellId id, CellFormat format,
-                                        Slice stored) {
   std::uint64_t logical = 0;
-  Status s = AppendEntryLocked(id, stored, stored.size(), &logical, format);
+  Status s = AllocateLocked(EntrySpan(capacity), &logical);
   if (!s.ok()) return s;
-  index_.Upsert(id, logical);
-  ++stats_.live_cells;
-  stats_.live_bytes += stored.size();
-  if (format == CellFormat::kAdjDelta) {
-    ++stats_.compressed_cells;
-    stats_.compressed_bytes += stored.size();
+  EntryHeader* hdr = HeaderAt(logical);
+  hdr->id = id;
+  hdr->size = static_cast<std::uint32_t>(stored.bytes.size());
+  SetCapFormat(hdr, capacity, stored.format);
+  if (!stored.bytes.empty()) {
+    std::memcpy(PhysPtr(logical) + kHeaderSize, stored.bytes.data(),
+                stored.bytes.size());
   }
+  // Resolved only now: an auto-defrag pass inside the allocation may have
+  // moved the entry this one replaces.
+  if (replaced != nullptr) *replaced = index_.Find(id);
+  index_.Upsert(id, logical);
+  CountEntryLocked(hdr, true);
   return Status::OK();
 }
 
-Status MemoryTrunk::FaultInLocked(CellId id) {
-  // Make room first: the faulting cell is not resident, so it cannot be
-  // chosen as a victim. This keeps read-only fault storms (e.g. PageRank
-  // sweeping a 4× graph) from overrunning the ring.
+void MemoryTrunk::RetireLocked(std::uint64_t offset) {
+  EntryHeader* hdr = HeaderAt(offset);
+  CountEntryLocked(hdr, false);
+  const std::uint64_t cap = CapOf(hdr);
+  stats_.dead_bytes += EntrySpan(cap);
+  hdr->id = kDeadCell;
+  hdr->capacity = static_cast<std::uint32_t>(cap);
+}
+
+Status MemoryTrunk::StoreLocked(CellId id, std::uint64_t offset,
+                                StoredForm stored, std::uint64_t reserve) {
+  if (offset != TrunkIndex::kNoOffset) {
+    EntryHeader* hdr = HeaderAt(offset);
+    if (stored.bytes.size() <= CapOf(hdr)) {
+      // In place; shrink or grow within the existing allocation.
+      CountEntryLocked(hdr, false);
+      if (!stored.bytes.empty()) {
+        std::memcpy(PhysPtr(offset) + kHeaderSize, stored.bytes.data(),
+                    stored.bytes.size());
+      }
+      hdr->size = static_cast<std::uint32_t>(stored.bytes.size());
+      SetCapFormat(hdr, CapOf(hdr), stored.format);
+      CountEntryLocked(hdr, true);
+      return Status::OK();
+    }
+  }
+  // Append the new entry first; only then retire the old one, so a failed
+  // allocation leaves the cell untouched and still indexed.
+  std::uint64_t replaced = TrunkIndex::kNoOffset;
+  Status s = InstallStoredLocked(id, stored, reserve, &replaced);
+  if (!s.ok()) return s;
+  if (replaced != TrunkIndex::kNoOffset) {
+    RetireLocked(replaced);
+  } else if (cold_tier_ != nullptr) {
+    // A blind overwrite of a spilled cell never needs the old bytes.
+    cold_tier_->Drop(id);
+  }
+  MaybeEnforceBudgetLocked();
+  return Status::OK();
+}
+
+Status MemoryTrunk::ResolveLocked(CellId id, std::uint64_t* offset) {
+  *offset = index_.Find(id);
+  if (*offset != TrunkIndex::kNoOffset) return Status::OK();
+  if (cold_tier_ == nullptr || !cold_tier_->Contains(id)) {
+    return Status::NotFound("no such cell");
+  }
+  // Fault in. Make room first: the faulting cell is not resident, so it
+  // cannot be chosen as a victim. This keeps read-only fault storms (e.g.
+  // PageRank sweeping a 4x graph) from overrunning the ring.
   MaybeEnforceBudgetLocked();
   std::string stored;
   ColdTier::CellMeta meta;
   Status s = cold_tier_->ReadCell(id, &stored, &meta);
   if (!s.ok()) return s;
-  s = InstallStoredLocked(id, static_cast<CellFormat>(meta.format),
-                          Slice(stored));
+  const auto format = static_cast<CellFormat>(meta.format);
+  s = InstallStoredLocked(id, {format, Slice(stored)});
   if (!s.ok()) return s;  // Mapping still in the cold tier: nothing lost.
+  *offset = index_.Find(id);
   ++stats_.cells_faulted;
   TouchRefBit(id);  // A fresh fault-in deserves its second chance.
   cold_tier_->Drop(id);
@@ -285,89 +340,20 @@ Status MemoryTrunk::AddCell(CellId id, Slice payload) {
     return Status::AlreadyExists("cell exists (spilled)");
   }
   std::string enc;
-  const CellFormat format =
-      options_.compress_adjacency && CellCodec::EncodeAdjacency(payload, &enc)
-          ? CellFormat::kAdjDelta
-          : CellFormat::kRaw;
-  const Slice stored = format == CellFormat::kAdjDelta ? Slice(enc) : payload;
-  Status s = InstallStoredLocked(id, format, stored);
-  if (!s.ok()) return s;
-  MaybeEnforceBudgetLocked();
-  return Status::OK();
+  return StoreLocked(id, TrunkIndex::kNoOffset, Encode(payload, &enc));
 }
 
 Status MemoryTrunk::PutCell(CellId id, Slice payload) {
   if (id >= kDeadCell) return Status::InvalidArgument("reserved cell id");
   auto lock = WriteLock();
   std::string enc;
-  const CellFormat format =
-      options_.compress_adjacency && CellCodec::EncodeAdjacency(payload, &enc)
-          ? CellFormat::kAdjDelta
-          : CellFormat::kRaw;
-  const Slice stored = format == CellFormat::kAdjDelta ? Slice(enc) : payload;
+  const StoredForm stored = Encode(payload, &enc);
   const std::uint64_t offset = index_.Find(id);
   if (offset == TrunkIndex::kNoOffset) {
-    // Fresh insert — or blind overwrite of a spilled cell, which never needs
-    // the old bytes: install the new image, then drop the cold mapping.
-    Status s = InstallStoredLocked(id, format, stored);
-    if (!s.ok()) return s;
-    if (cold_tier_ != nullptr) cold_tier_->Drop(id);
-    MaybeEnforceBudgetLocked();
-    return Status::OK();
+    return StoreLocked(id, offset, stored);
   }
-  EntryHeader* hdr = HeaderAt(offset);
   CellLockGuard cell_lock(this, id);
-  const CellFormat old_format = FormatOf(hdr);
-  if (stored.size() <= CapOf(hdr)) {
-    // In-place overwrite; shrink or grow within the existing allocation.
-    stats_.live_bytes += stored.size();
-    stats_.live_bytes -= hdr->size;
-    stats_.reserved_slack += hdr->size;
-    stats_.reserved_slack -= stored.size();
-    if (old_format == CellFormat::kAdjDelta) {
-      --stats_.compressed_cells;
-      stats_.compressed_bytes -= hdr->size;
-    }
-    if (format == CellFormat::kAdjDelta) {
-      ++stats_.compressed_cells;
-      stats_.compressed_bytes += stored.size();
-    }
-    if (!stored.empty()) {
-      std::memcpy(PhysPtr(offset) + kHeaderSize, stored.data(),
-                  stored.size());
-    }
-    hdr->size = static_cast<std::uint32_t>(stored.size());
-    SetCapFormat(hdr, CapOf(hdr), format);
-    return Status::OK();
-  }
-  // Relocate: append the new image first; only then kill the old entry.
-  // The allocation may trigger an auto-defrag pass that *moves* the old
-  // entry, so its location must be re-resolved through the index afterwards.
-  std::uint64_t logical = 0;
-  Status s = AppendEntryLocked(id, stored, stored.size(), &logical, format);
-  if (!s.ok()) return s;  // Old entry untouched and still indexed.
-  const std::uint64_t old_offset = index_.Find(id);
-  EntryHeader* old_hdr = HeaderAt(old_offset);
-  const std::uint64_t old_size = old_hdr->size;
-  const std::uint64_t old_cap = CapOf(old_hdr);
-  const std::uint64_t old_slack = old_cap - old_size;
-  old_hdr->id = kDeadCell;
-  old_hdr->capacity = static_cast<std::uint32_t>(old_cap);
-  stats_.dead_bytes += EntrySpan(old_cap);
-  index_.Upsert(id, logical);
-  stats_.live_bytes += stored.size();
-  stats_.live_bytes -= old_size;
-  stats_.reserved_slack -= old_slack;
-  if (old_format == CellFormat::kAdjDelta) {
-    --stats_.compressed_cells;
-    stats_.compressed_bytes -= old_size;
-  }
-  if (format == CellFormat::kAdjDelta) {
-    ++stats_.compressed_cells;
-    stats_.compressed_bytes += stored.size();
-  }
-  MaybeEnforceBudgetLocked();
-  return Status::OK();
+  return StoreLocked(id, offset, stored);
 }
 
 Status MemoryTrunk::ReadPayloadLocked(std::uint64_t logical,
@@ -380,33 +366,34 @@ Status MemoryTrunk::ReadPayloadLocked(std::uint64_t logical,
   return CellCodec::DecodeAdjacency(StoredAt(logical), out);
 }
 
-Status MemoryTrunk::GetCell(CellId id, std::string* out) const {
+template <typename ReadFn>
+Status MemoryTrunk::ReadResident(CellId id, ReadFn&& read) const {
   {
     auto lock = ReadLock();
     const std::uint64_t offset = index_.Find(id);
     if (offset != TrunkIndex::kNoOffset) {
       TouchRefBit(id);
-      return ReadPayloadLocked(offset, out);
+      return read(offset);
     }
     if (cold_tier_ == nullptr || !cold_tier_->Contains(id)) {
       return Status::NotFound("no such cell");
     }
   }
-  // Spilled: fault it in under the exclusive side, then serve. The double
-  // check below covers a racing fault-in (or removal) between the locks.
+  // Spilled: fault it in under the exclusive side, then serve. Resolving
+  // again covers a racing fault-in (or removal) between the locks.
   auto* self = const_cast<MemoryTrunk*>(this);
   auto lock = self->WriteLock();
-  std::uint64_t offset = index_.Find(id);
-  if (offset == TrunkIndex::kNoOffset) {
-    if (cold_tier_ == nullptr || !cold_tier_->Contains(id)) {
-      return Status::NotFound("no such cell");
-    }
-    Status s = self->FaultInLocked(id);
-    if (!s.ok()) return s;
-    offset = index_.Find(id);
-  }
+  std::uint64_t offset = 0;
+  Status s = self->ResolveLocked(id, &offset);
+  if (!s.ok()) return s;
   TouchRefBit(id);
-  return ReadPayloadLocked(offset, out);
+  return read(offset);
+}
+
+Status MemoryTrunk::GetCell(CellId id, std::string* out) const {
+  return ReadResident(id, [&](std::uint64_t offset) {
+    return ReadPayloadLocked(offset, out);
+  });
 }
 
 bool MemoryTrunk::Contains(CellId id) const {
@@ -444,102 +431,56 @@ Status MemoryTrunk::RemoveCell(CellId id) {
     }
     return Status::NotFound("no such cell");
   }
-  EntryHeader* hdr = HeaderAt(offset);
   CellLockGuard cell_lock(this, id);
   index_.Erase(id);
-  --stats_.live_cells;
-  stats_.live_bytes -= hdr->size;
-  const std::uint64_t cap = CapOf(hdr);
-  stats_.reserved_slack -= cap - hdr->size;
-  stats_.dead_bytes += EntrySpan(cap);
-  if (FormatOf(hdr) == CellFormat::kAdjDelta) {
-    --stats_.compressed_cells;
-    stats_.compressed_bytes -= hdr->size;
-  }
-  hdr->id = kDeadCell;
-  hdr->capacity = static_cast<std::uint32_t>(cap);
+  RetireLocked(offset);
   return Status::OK();
 }
 
 Status MemoryTrunk::AppendToCell(CellId id, Slice suffix) {
   auto lock = WriteLock();
-  std::uint64_t offset = index_.Find(id);
-  if (offset == TrunkIndex::kNoOffset) {
-    if (cold_tier_ == nullptr || !cold_tier_->Contains(id)) {
-      return Status::NotFound("no such cell");
-    }
-    Status s = FaultInLocked(id);
-    if (!s.ok()) return s;
-    offset = index_.Find(id);
-  }
+  std::uint64_t offset = 0;
+  Status s = ResolveLocked(id, &offset);
+  if (!s.ok()) return s;
   EntryHeader* hdr = HeaderAt(offset);
   CellLockGuard cell_lock(this, id);
-  if (FormatOf(hdr) == CellFormat::kRaw) {
-    const std::uint64_t new_size = hdr->size + suffix.size();
-    if (new_size <= CapOf(hdr)) {
-      // The short-lived reservation absorbs the growth; no relocation.
-      if (!suffix.empty()) {
-        std::memcpy(PhysPtr(offset) + kHeaderSize + hdr->size, suffix.data(),
-                    suffix.size());
-      }
-      stats_.reserved_slack -= suffix.size();
-      stats_.live_bytes += suffix.size();
-      hdr->size = static_cast<std::uint32_t>(new_size);
-      ++stats_.expansions_in_place;
-      return Status::OK();
+  if (FormatOf(hdr) == CellFormat::kRaw &&
+      hdr->size + suffix.size() <= CapOf(hdr)) {
+    // The short-lived reservation absorbs the growth; no relocation.
+    if (!suffix.empty()) {
+      std::memcpy(PhysPtr(offset) + kHeaderSize + hdr->size, suffix.data(),
+                  suffix.size());
     }
+    CountEntryLocked(hdr, false);
+    hdr->size += static_cast<std::uint32_t>(suffix.size());
+    CountEntryLocked(hdr, true);
+    ++stats_.expansions_in_place;
+    return Status::OK();
   }
   // Relocate with a fresh short-lived reservation (§6.1: "if the current
   // key-value pair needs to expand by 16 bytes, we allocate 32 instead").
   // A compressed cell is materialized to raw here — append-heavy cells stay
-  // raw and cheap to grow; the next defrag move re-compresses them.
+  // raw and cheap to grow; the next defrag move re-compresses them. No
+  // in-place offset is passed: even a compressed entry with room relocates.
   std::string image;
-  Status s = ReadPayloadLocked(offset, &image);
+  s = ReadPayloadLocked(offset, &image);
   if (!s.ok()) return s;
   image.append(suffix.data(), suffix.size());
-  const std::uint64_t new_size = image.size();
   const std::uint64_t reserve =
-      new_size * static_cast<std::uint64_t>(options_.reservation_pct) / 100;
-  const std::uint64_t new_capacity = new_size + reserve;
-  // Append-first, as in PutCell: auto-defrag during allocation may move the
-  // old entry, so re-resolve it via the index before killing it.
-  std::uint64_t logical = 0;
-  s = AppendEntryLocked(id, Slice(image), new_capacity, &logical);
+      image.size() * static_cast<std::uint64_t>(options_.reservation_pct) /
+      100;
+  s = StoreLocked(id, TrunkIndex::kNoOffset, {CellFormat::kRaw, Slice(image)},
+                  reserve);
   if (!s.ok()) return s;
-  const std::uint64_t old_offset = index_.Find(id);
-  EntryHeader* old_hdr = HeaderAt(old_offset);
-  const std::uint64_t old_size = old_hdr->size;
-  const std::uint64_t old_cap = CapOf(old_hdr);
-  const std::uint64_t old_slack = old_cap - old_size;
-  const CellFormat old_format = FormatOf(old_hdr);
-  old_hdr->id = kDeadCell;
-  old_hdr->capacity = static_cast<std::uint32_t>(old_cap);
-  stats_.dead_bytes += EntrySpan(old_cap);
-  index_.Upsert(id, logical);
-  stats_.live_bytes += new_size;
-  stats_.live_bytes -= old_size;
-  stats_.reserved_slack -= old_slack;
-  stats_.reserved_slack += new_capacity - new_size;
-  if (old_format == CellFormat::kAdjDelta) {
-    --stats_.compressed_cells;
-    stats_.compressed_bytes -= old_size;
-  }
   ++stats_.expansions_relocated;
-  MaybeEnforceBudgetLocked();
   return Status::OK();
 }
 
 Status MemoryTrunk::WriteAt(CellId id, std::uint64_t offset, Slice bytes) {
   auto lock = WriteLock();
-  std::uint64_t entry = index_.Find(id);
-  if (entry == TrunkIndex::kNoOffset) {
-    if (cold_tier_ == nullptr || !cold_tier_->Contains(id)) {
-      return Status::NotFound("no such cell");
-    }
-    Status s = FaultInLocked(id);
-    if (!s.ok()) return s;
-    entry = index_.Find(id);
-  }
+  std::uint64_t entry = 0;
+  Status s = ResolveLocked(id, &entry);
+  if (!s.ok()) return s;
   EntryHeader* hdr = HeaderAt(entry);
   if (FormatOf(hdr) == CellFormat::kRaw) {
     if (offset + bytes.size() > hdr->size) {
@@ -552,10 +493,10 @@ Status MemoryTrunk::WriteAt(CellId id, std::uint64_t offset, Slice bytes) {
     }
     return Status::OK();
   }
-  // Compressed: patch the decoded image and re-store (re-encoding when the
-  // patched payload still compresses).
+  // Compressed: patch the decoded image and store it again (re-encoding
+  // when the patched payload still compresses).
   std::string image;
-  Status s = ReadPayloadLocked(entry, &image);
+  s = ReadPayloadLocked(entry, &image);
   if (!s.ok()) return s;
   if (offset + bytes.size() > image.size()) {
     return Status::InvalidArgument("write past end of cell");
@@ -564,52 +505,9 @@ Status MemoryTrunk::WriteAt(CellId id, std::uint64_t offset, Slice bytes) {
     std::memcpy(&image[offset], bytes.data(), bytes.size());
   }
   std::string enc;
-  const CellFormat format =
-      options_.compress_adjacency &&
-              CellCodec::EncodeAdjacency(Slice(image), &enc)
-          ? CellFormat::kAdjDelta
-          : CellFormat::kRaw;
-  const Slice stored = format == CellFormat::kAdjDelta ? Slice(enc)
-                                                       : Slice(image);
+  const StoredForm stored = Encode(Slice(image), &enc);
   CellLockGuard cell_lock(this, id);
-  if (stored.size() <= CapOf(hdr)) {
-    stats_.live_bytes += stored.size();
-    stats_.live_bytes -= hdr->size;
-    stats_.reserved_slack += hdr->size;
-    stats_.reserved_slack -= stored.size();
-    --stats_.compressed_cells;
-    stats_.compressed_bytes -= hdr->size;
-    if (format == CellFormat::kAdjDelta) {
-      ++stats_.compressed_cells;
-      stats_.compressed_bytes += stored.size();
-    }
-    std::memcpy(PhysPtr(entry) + kHeaderSize, stored.data(), stored.size());
-    hdr->size = static_cast<std::uint32_t>(stored.size());
-    SetCapFormat(hdr, CapOf(hdr), format);
-    return Status::OK();
-  }
-  std::uint64_t logical = 0;
-  s = AppendEntryLocked(id, stored, stored.size(), &logical, format);
-  if (!s.ok()) return s;
-  const std::uint64_t old_offset = index_.Find(id);
-  EntryHeader* old_hdr = HeaderAt(old_offset);
-  const std::uint64_t old_size = old_hdr->size;
-  const std::uint64_t old_cap = CapOf(old_hdr);
-  old_hdr->id = kDeadCell;
-  old_hdr->capacity = static_cast<std::uint32_t>(old_cap);
-  stats_.dead_bytes += EntrySpan(old_cap);
-  index_.Upsert(id, logical);
-  stats_.live_bytes += stored.size();
-  stats_.live_bytes -= old_size;
-  stats_.reserved_slack -= old_cap - old_size;
-  --stats_.compressed_cells;
-  stats_.compressed_bytes -= old_size;
-  if (format == CellFormat::kAdjDelta) {
-    ++stats_.compressed_cells;
-    stats_.compressed_bytes += stored.size();
-  }
-  MaybeEnforceBudgetLocked();
-  return Status::OK();
+  return StoreLocked(id, entry, stored);
 }
 
 Status MemoryTrunk::PinLocked(CellId id, std::uint64_t offset,
@@ -634,30 +532,9 @@ Status MemoryTrunk::PinLocked(CellId id, std::uint64_t offset,
 }
 
 Status MemoryTrunk::Access(CellId id, ConstAccessor* accessor) const {
-  {
-    auto lock = ReadLock();
-    const std::uint64_t offset = index_.Find(id);
-    if (offset != TrunkIndex::kNoOffset) {
-      TouchRefBit(id);
-      return PinLocked(id, offset, accessor);
-    }
-    if (cold_tier_ == nullptr || !cold_tier_->Contains(id)) {
-      return Status::NotFound("no such cell");
-    }
-  }
-  auto* self = const_cast<MemoryTrunk*>(this);
-  auto lock = self->WriteLock();
-  std::uint64_t offset = index_.Find(id);
-  if (offset == TrunkIndex::kNoOffset) {
-    if (cold_tier_ == nullptr || !cold_tier_->Contains(id)) {
-      return Status::NotFound("no such cell");
-    }
-    Status s = self->FaultInLocked(id);
-    if (!s.ok()) return s;
-    offset = index_.Find(id);
-  }
-  TouchRefBit(id);
-  return PinLocked(id, offset, accessor);
+  return ReadResident(id, [&](std::uint64_t offset) {
+    return PinLocked(id, offset, accessor);
+  });
 }
 
 std::uint64_t MemoryTrunk::Defragment() {
@@ -724,20 +601,9 @@ void MemoryTrunk::SpillColdLocked(std::uint64_t target) {
       return;
     }
     for (std::size_t i = 0; i < victims.size(); ++i) {
-      EntryHeader* hdr = HeaderAt(offsets[i]);
-      const std::uint64_t cap = CapOf(hdr);
-      index_.Erase(hdr->id);
-      --stats_.live_cells;
-      stats_.live_bytes -= hdr->size;
-      stats_.reserved_slack -= cap - hdr->size;
-      stats_.dead_bytes += EntrySpan(cap);
-      if (FormatOf(hdr) == CellFormat::kAdjDelta) {
-        --stats_.compressed_cells;
-        stats_.compressed_bytes -= hdr->size;
-      }
+      index_.Erase(victims[i].id);
+      RetireLocked(offsets[i]);
       ++stats_.cells_evicted;
-      hdr->id = kDeadCell;
-      hdr->capacity = static_cast<std::uint32_t>(cap);
       held[i]->Unlock();
     }
   }
@@ -779,7 +645,6 @@ std::uint64_t MemoryTrunk::DefragmentLocked() {
     const CellId id = hdr->id;
     const std::uint32_t size = hdr->size;
     const CellFormat format = FormatOf(hdr);
-    const std::uint64_t slack = cap - size;
     // Precheck that re-appending (including any ring padding the move may
     // require) fits once this entry's own span is freed; otherwise stop the
     // pass rather than risk overwriting the bytes being moved.
@@ -796,30 +661,17 @@ std::uint64_t MemoryTrunk::DefragmentLocked() {
     // The move is the natural point to re-compress cells that append-heavy
     // phases materialized to raw (adaptive: only when strictly smaller).
     std::string enc;
-    CellFormat new_format = format;
-    Slice stored(image);
-    if (format == CellFormat::kRaw && options_.compress_adjacency &&
-        CellCodec::EncodeAdjacency(Slice(image), &enc)) {
-      new_format = CellFormat::kAdjDelta;
-      stored = Slice(enc);
-    }
-    hdr->id = kDeadCell;
-    hdr->capacity = static_cast<std::uint32_t>(cap);
+    const StoredForm stored = format == CellFormat::kRaw
+                                  ? Encode(Slice(image), &enc)
+                                  : StoredForm{format, Slice(image)};
+    // Retire at the tail and reclaim the span at once, then re-install at
+    // the head.
+    RetireLocked(tail_);
     tail_ += span;
-    std::uint64_t logical = 0;
-    Status s =
-        AppendEntryLocked(id, stored, stored.size(), &logical, new_format);
+    stats_.dead_bytes -= span;
+    Status s = InstallStoredLocked(id, stored);
     TRINITY_CHECK(s.ok(), "defrag re-append failed after space precheck");
-    index_.Upsert(id, logical);
-    stats_.reserved_slack -= slack;
-    reclaimed += slack;
-    if (new_format != format) {
-      stats_.live_bytes -= size;
-      stats_.live_bytes += stored.size();
-      ++stats_.compressed_cells;
-      stats_.compressed_bytes += stored.size();
-      reclaimed += size - stored.size();
-    }
+    reclaimed += cap - stored.bytes.size();
     ++stats_.cells_moved;
     cell_lock.Unlock();
   }
@@ -940,25 +792,12 @@ Status MemoryTrunk::Deserialize(Slice data, const Options& options,
   Status s = Create(options, &trunk);
   if (!s.ok()) return s;
   BinaryReader reader(data);
-  std::uint64_t first = 0;
-  if (!reader.GetU64(&first)) return Status::Corruption("trunk image header");
-  if (first != kTrunkImageMagic) {
-    // Version-1 image: `first` is the cell count; every payload is raw.
-    // AddCell re-encodes under the target trunk's own options.
-    for (std::uint64_t i = 0; i < first; ++i) {
-      CellId id = 0;
-      Slice payload;
-      if (!reader.GetU64(&id) || !reader.GetBytes(&payload)) {
-        return Status::Corruption("trunk image entry");
-      }
-      s = trunk->AddCell(id, payload);
-      if (!s.ok()) return s;
-    }
-    *out = std::move(trunk);
-    return Status::OK();
-  }
+  std::uint64_t magic = 0;
   std::uint32_t version = 0;
   std::uint64_t count = 0;
+  if (!reader.GetU64(&magic) || magic != kTrunkImageMagic) {
+    return Status::Corruption("trunk image header");
+  }
   if (!reader.GetU32(&version) || version != 2 || !reader.GetU64(&count)) {
     return Status::Corruption("trunk image version");
   }
@@ -975,10 +814,9 @@ Status MemoryTrunk::Deserialize(Slice data, const Options& options,
     if (trunk->index_.Find(id) != TrunkIndex::kNoOffset) {
       return Status::Corruption("trunk image duplicate cell");
     }
-    s = trunk->InstallStoredLocked(id, static_cast<CellFormat>(format),
-                                   stored);
+    s = trunk->StoreLocked(id, TrunkIndex::kNoOffset,
+                           {static_cast<CellFormat>(format), stored});
     if (!s.ok()) return s;
-    trunk->MaybeEnforceBudgetLocked();
   }
   *out = std::move(trunk);
   return Status::OK();

@@ -250,20 +250,11 @@ class MemoryTrunk {
 
   Stats stats() const;
 
-  /// Lock-free reads of the contention counters. Unlike stats() these never
-  /// touch the trunk lock, so they are safe to poll from a thread that holds
-  /// a ConstAccessor even while a writer owns the exclusive side (stats()
-  /// would deadlock there: the writer spins on the accessor's stripe while
-  /// holding the lock stats() needs).
-  std::uint64_t shared_reads() const noexcept {
-    return shared_reads_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t read_lock_contended() const noexcept {
-    return read_lock_contended_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t write_lock_contended() const noexcept {
-    return write_lock_contended_.load(std::memory_order_relaxed);
-  }
+  /// Lock-free read of the stripe-lock contention counter. Unlike stats()
+  /// it never touches the trunk lock, so it is safe to poll from a thread
+  /// that holds a ConstAccessor even while a writer owns the exclusive side
+  /// (stats() would deadlock there: the writer spins on the accessor's
+  /// stripe while holding the lock stats() needs).
   std::uint64_t cell_lock_contended() const noexcept {
     return cell_lock_contended_.load(std::memory_order_relaxed);
   }
@@ -281,8 +272,7 @@ class MemoryTrunk {
   /// Serializes all live cells for persistence to TFS. Spilled cells are
   /// read back from their cold pages, so the image is self-contained —
   /// recovery and replica installation need no cold-tier state. Cells are
-  /// written in stored form with their format tag (image version 2; version
-  /// 1 images remain readable).
+  /// written in stored form with their format tag (image version 2).
   Status Serialize(std::string* out) const;
 
   /// Rebuilds a trunk from a Serialize() blob.
@@ -383,10 +373,55 @@ class MemoryTrunk {
   Status AllocateLocked(std::uint64_t span, std::uint64_t* logical);
   Status EnsureCommitted(std::uint64_t phys_begin, std::uint64_t length);
   void DecommitDeadPagesLocked();
-  Status AppendEntryLocked(CellId id, Slice payload, std::uint64_t capacity,
-                           std::uint64_t* logical,
-                           CellFormat format = CellFormat::kRaw);
   std::uint64_t DefragmentLocked();
+
+  /// A payload in the form the ring stores it.
+  struct StoredForm {
+    CellFormat format;
+    Slice bytes;
+  };
+  /// The one encode-or-raw decision: delta-varint when compress_adjacency
+  /// is set and the codec accepts the payload, else the payload itself.
+  /// `buf` backs the returned bytes when they are encoded.
+  StoredForm Encode(Slice payload, std::string* buf) const;
+
+  /// Adds (or, with add=false, removes) one live entry's share of the
+  /// live/slack/compressed counters. Every change to those counters goes
+  /// through here. Caller holds mu_ exclusively.
+  void CountEntryLocked(const EntryHeader* hdr, bool add);
+
+  /// Appends `stored` as id's entry with `reserve` spare bytes (the
+  /// short-lived reservation), indexes it and counts it. *replaced, when
+  /// given, receives the offset the index held for id before, resolved
+  /// after the allocation's possible auto-defrag. Caller holds mu_
+  /// exclusively.
+  Status InstallStoredLocked(CellId id, StoredForm stored,
+                             std::uint64_t reserve = 0,
+                             std::uint64_t* replaced = nullptr);
+
+  /// Kills the live entry at `offset`: uncounts it and leaves a dead entry
+  /// for defrag to reclaim. The caller unindexes it (or re-indexed it).
+  void RetireLocked(std::uint64_t offset);
+
+  /// The single store path. Overwrites the entry at `offset` in place when
+  /// `stored` fits its capacity; otherwise (or when offset is kNoOffset)
+  /// installs a new entry with `reserve` spare bytes, then retires the entry
+  /// the index held (or drops a stale cold copy) and enforces the budget.
+  /// Caller holds mu_ exclusively and the cell lock of a resident id.
+  Status StoreLocked(CellId id, std::uint64_t offset, StoredForm stored,
+                     std::uint64_t reserve = 0);
+
+  /// Finds id's resident entry, first faulting a spilled cell back in from
+  /// the cold tier (enforcing the budget before, so a read-only fault storm
+  /// cannot overrun the ring). NotFound when id is neither resident nor
+  /// spilled. Caller holds mu_ exclusively.
+  Status ResolveLocked(CellId id, std::uint64_t* offset);
+
+  /// The read path of GetCell and Access: calls read(offset) under the
+  /// shared lock for a resident cell, else faults the cell in under the
+  /// exclusive lock and calls read there.
+  template <typename ReadFn>
+  Status ReadResident(CellId id, ReadFn&& read) const;
 
   /// Decodes (or copies) the stored payload at `logical` into *out. Caller
   /// holds mu_ (either side).
@@ -396,15 +431,6 @@ class MemoryTrunk {
   /// raw cells, materialized decode for compressed ones. Caller holds mu_.
   Status PinLocked(CellId id, std::uint64_t offset,
                    ConstAccessor* accessor) const;
-
-  /// Installs a cell in its already-stored form (fault-in, image v2 load).
-  /// Caller holds mu_ exclusively; id must not be resident.
-  Status InstallStoredLocked(CellId id, CellFormat format, Slice stored);
-
-  /// Re-admits a spilled cell from the cold tier (enforcing the budget
-  /// first, so a read-only fault storm cannot overrun the ring). Caller
-  /// holds mu_ exclusively; id must not be resident.
-  Status FaultInLocked(CellId id);
 
   /// Clock eviction: spills cold, unpinned cells until ring usage drops to
   /// `target` bytes or every candidate had its second chance. Caller holds

@@ -417,7 +417,7 @@ TEST(TrunkParallelismTest, ConcurrentWritesToDistinctTrunks) {
   std::atomic<int> failures{0};
   for (int t = 0; t < kTrunks; ++t) {
     threads.emplace_back([&storage, &failures, t] {
-      storage::MemoryTrunk* trunk = storage.trunk(t);
+      auto trunk = storage.trunk(t);
       for (CellId id = 0; id < 2000; ++id) {
         if (!trunk->AddCell(id, Slice("concurrent")).ok()) {
           failures.fetch_add(1);
@@ -435,7 +435,7 @@ TEST(TrunkParallelismTest, ConcurrentMixedOpsOnOneTrunkStayCoherent) {
   options.trunk.capacity = 8 << 20;
   storage::MemoryStorage storage(options);
   ASSERT_TRUE(storage.AttachTrunk(0).ok());
-  storage::MemoryTrunk* trunk = storage.trunk(0);
+  auto trunk = storage.trunk(0);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([trunk, t] {

@@ -1,10 +1,15 @@
 #include "storage/memory_trunk.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <map>
+#include <ostream>
 #include <thread>
 
 #include "common/random.h"
@@ -296,20 +301,102 @@ TEST(MemoryTrunkTest, StatsInvariants) {
 }
 
 // Property test: a random op sequence against a std::map reference model,
-// across several seeds, with periodic defragmentation thrown in.
-class MemoryTrunkFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
+// across several seeds and three trunk configurations, with periodic
+// defragmentation thrown in. Each run ends by comparing every deterministic
+// Stats counter with recorded values, so a change to any placement,
+// compression, eviction or accounting decision shows as a counter diff even
+// when the payloads still read back correctly.
+enum class FuzzConfig {
+  kRaw,         ///< Default options: every cell stored raw.
+  kCompressed,  ///< compress_adjacency: node-shaped cells stored kAdjDelta.
+  kBudgeted,    ///< compress_adjacency plus a memory budget and cold TFS.
+};
+
+// The Stats fields that depend only on the op sequence. committed_bytes and
+// capacity are left out: they follow the host page size.
+constexpr const char* kCounterNames[] = {
+    "live_cells",          "live_bytes",           "reserved_slack",
+    "dead_bytes",          "used_bytes",           "resident_bytes",
+    "defrag_passes",       "cells_moved",          "expansions_in_place",
+    "expansions_relocated", "compressed_cells",    "compressed_bytes",
+    "spilled_cells",       "spilled_bytes",        "cells_evicted",
+    "cells_faulted",       "cold_bytes_written",   "cold_bytes_read",
+    "shared_reads",        "read_lock_contended",  "write_lock_contended",
+    "cell_lock_contended"};
+using Counters = std::array<std::uint64_t, std::size(kCounterNames)>;
+
+Counters DeterministicCounters(const MemoryTrunk::Stats& s) {
+  return {s.live_cells,          s.live_bytes,           s.reserved_slack,
+          s.dead_bytes,          s.used_bytes,           s.resident_bytes,
+          s.defrag_passes,       s.cells_moved,          s.expansions_in_place,
+          s.expansions_relocated, s.compressed_cells,    s.compressed_bytes,
+          s.spilled_cells,       s.spilled_bytes,        s.cells_evicted,
+          s.cells_faulted,       s.cold_bytes_written,   s.cold_bytes_read,
+          s.shared_reads,        s.read_lock_contended,  s.write_lock_contended,
+          s.cell_lock_contended};
+}
+
+struct FuzzCase {
+  FuzzConfig config;
+  std::uint64_t seed;
+  Counters golden;
+};
+
+// Names each case by its seed alone; the instantiation prefix names the
+// configuration.
+void PrintTo(const FuzzCase& c, std::ostream* os) { *os << c.seed; }
+
+// A node-cell payload, [u32 in_count][u32 data_len][data][in ids][out ids],
+// with sorted id lists: the shape CellCodec::EncodeAdjacency compresses.
+std::string NodePayload(Random* rng) {
+  const auto in_count = static_cast<std::uint32_t>(rng->Uniform(12));
+  const auto data_len = static_cast<std::uint32_t>(rng->Uniform(24));
+  const std::uint64_t ids = in_count + rng->Uniform(12);
+  std::string payload(8, '\0');
+  std::memcpy(&payload[0], &in_count, 4);
+  std::memcpy(&payload[4], &data_len, 4);
+  payload.append(data_len, 'd');
+  CellId id = 0;
+  for (std::uint64_t i = 0; i < ids; ++i) {
+    if (i == in_count) id = 0;
+    id += rng->Uniform(50);
+    payload.append(reinterpret_cast<const char*>(&id), sizeof(id));
+  }
+  return payload;
+}
+
+std::string FuzzPayload(Random* rng, CellId id, char base) {
+  if (rng->Uniform(2) == 0) return NodePayload(rng);
+  return std::string(rng->Uniform(300), static_cast<char>(base + id % 26));
+}
+
+class MemoryTrunkFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(MemoryTrunkFuzzTest, MatchesReferenceModel) {
-  Random rng(GetParam());
+  const FuzzCase& param = GetParam();
+  Random rng(param.seed);
   MemoryTrunk::Options options;
   options.capacity = 512 * 1024;
+  options.compress_adjacency = param.config != FuzzConfig::kRaw;
+  std::unique_ptr<tfs::Tfs> tfs;
+  if (param.config == FuzzConfig::kBudgeted) {
+    tfs::Tfs::Options tfs_options;
+    tfs_options.root = ::testing::TempDir() + "/trunk_fuzz_" +
+                       std::to_string(param.seed) + "_" +
+                       std::to_string(::getpid());
+    std::filesystem::remove_all(tfs_options.root);
+    ASSERT_TRUE(tfs::Tfs::Open(tfs_options, &tfs).ok());
+    options.memory_budget = 4 << 10;
+    options.cold_tfs = tfs.get();
+    options.cold_page_bytes = 1 << 10;
+  }
   auto trunk = NewTrunk(options);
   std::map<CellId, std::string> reference;
   for (int op = 0; op < 4000; ++op) {
     const CellId id = rng.Uniform(64);
-    switch (rng.Uniform(6)) {
+    switch (rng.Uniform(7)) {
       case 0: {
-        const std::string payload(rng.Uniform(300), 'a' + id % 26);
+        const std::string payload = FuzzPayload(&rng, id, 'a');
         const Status s = trunk->AddCell(id, Slice(payload));
         if (reference.count(id) != 0) {
           EXPECT_TRUE(s.IsAlreadyExists());
@@ -319,7 +406,7 @@ TEST_P(MemoryTrunkFuzzTest, MatchesReferenceModel) {
         break;
       }
       case 1: {
-        const std::string payload(rng.Uniform(300), 'A' + id % 26);
+        const std::string payload = FuzzPayload(&rng, id, 'A');
         if (trunk->PutCell(id, Slice(payload)).ok()) {
           reference[id] = payload;
         }
@@ -331,7 +418,11 @@ TEST_P(MemoryTrunkFuzzTest, MatchesReferenceModel) {
         break;
       }
       case 3: {
-        const std::string suffix(1 + rng.Uniform(40), 'z');
+        // Whole 8-byte words keep a node cell's shape (and, being large
+        // ids, its sort order), so defrag can re-compress it.
+        const std::size_t n = rng.Uniform(2) == 0 ? 8 * (1 + rng.Uniform(4))
+                                                  : 1 + rng.Uniform(40);
+        const std::string suffix(n, 'z');
         const Status s = trunk->AppendToCell(id, Slice(suffix));
         auto it = reference.find(id);
         if (it == reference.end()) {
@@ -342,9 +433,17 @@ TEST_P(MemoryTrunkFuzzTest, MatchesReferenceModel) {
         break;
       }
       case 4: {
-        std::string out;
-        const Status s = trunk->GetCell(id, &out);
+        // Alternate the copying and the pinning read paths.
         auto it = reference.find(id);
+        std::string out;
+        Status s;
+        if (op % 2 == 0) {
+          s = trunk->GetCell(id, &out);
+        } else {
+          MemoryTrunk::ConstAccessor accessor;
+          s = trunk->Access(id, &accessor);
+          if (s.ok()) out = accessor.data().ToString();
+        }
         if (it == reference.end()) {
           EXPECT_TRUE(s.IsNotFound());
         } else {
@@ -357,6 +456,26 @@ TEST_P(MemoryTrunkFuzzTest, MatchesReferenceModel) {
         if (op % 37 == 0) trunk->Defragment();
         break;
       }
+      case 6: {
+        // Field patch: may land in a node cell's header or id lists, so a
+        // compressed cell can stay compressed, shrink, grow or fall back to
+        // raw. Some patches run past the end and must be refused.
+        auto it = reference.find(id);
+        const std::uint64_t size =
+            it == reference.end() ? 64 : it->second.size();
+        const std::uint64_t at = rng.Uniform(size + 4);
+        const std::string bytes(rng.Uniform(16), 'w');
+        const Status s = trunk->WriteAt(id, at, Slice(bytes));
+        if (it == reference.end()) {
+          EXPECT_TRUE(s.IsNotFound());
+        } else if (at + bytes.size() > it->second.size()) {
+          EXPECT_TRUE(s.IsInvalidArgument());
+        } else {
+          ASSERT_TRUE(s.ok());
+          it->second.replace(at, bytes.size(), bytes);
+        }
+        break;
+      }
     }
   }
   // Full final sweep.
@@ -367,10 +486,101 @@ TEST_P(MemoryTrunkFuzzTest, MatchesReferenceModel) {
     ASSERT_TRUE(trunk->GetCell(id, &out).ok());
     EXPECT_EQ(out, expected);
   }
+  const Counters got = DeterministicCounters(trunk->stats());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], param.golden[i]) << kCounterNames[i];
+  }
+  if (got != param.golden) {
+    std::string row;
+    for (std::uint64_t v : got) row += std::to_string(v) + ", ";
+    ADD_FAILURE() << "this run's counters for seed " << param.seed << ": {"
+                  << row << "}";
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, MemoryTrunkFuzzTest,
-                         ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
+// Counters recorded per seed. Placement and accounting must not drift: a
+// refactor of the trunk's store path keeps every one of these values.
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, MemoryTrunkFuzzTest,
+    ::testing::Values(
+        FuzzCase{FuzzConfig::kRaw, 11,
+                 {45, 6261, 0, 0, 7136, 7136, 17, 694, 87, 252, 0, 0, 0, 0, 0,
+                  0, 0, 0, 621, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kRaw, 22,
+                 {39, 4962, 0, 0, 5736, 5736, 17, 675, 130, 253, 0, 0, 0, 0, 0,
+                  0, 0, 0, 624, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kRaw, 33,
+                 {48, 6811, 0, 0, 7744, 7744, 17, 658, 118, 284, 0, 0, 0, 0, 0,
+                  0, 0, 0, 646, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kRaw, 44,
+                 {44, 5344, 0, 0, 6216, 6216, 21, 850, 90, 284, 0, 0, 0, 0, 0,
+                  0, 0, 0, 588, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kRaw, 55,
+                 {35, 3973, 0, 0, 4648, 4648, 15, 546, 124, 238, 0, 0, 0, 0, 0,
+                  0, 0, 0, 618, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kRaw, 66,
+                 {40, 5135, 0, 0, 5920, 5920, 15, 567, 141, 232, 0, 0, 0, 0, 0,
+                  0, 0, 0, 609, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kRaw, 77,
+                 {49, 6807, 0, 0, 7752, 7752, 9, 362, 135, 240, 0, 0, 0, 0, 0,
+                  0, 0, 0, 659, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kRaw, 88,
+                 {40, 5969, 0, 0, 6704, 6704, 18, 684, 117, 276, 0, 0, 0, 0, 0,
+                  0, 0, 0, 661, 0, 0, 0}}));
+INSTANTIATE_TEST_SUITE_P(
+    CompressedSeeds, MemoryTrunkFuzzTest,
+    ::testing::Values(
+        FuzzCase{FuzzConfig::kCompressed, 11,
+                 {45, 5322, 0, 0, 6208, 6208, 17, 692, 66, 273, 12, 348, 0, 0,
+                  0, 0, 0, 0, 621, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kCompressed, 22,
+                 {39, 4414, 0, 0, 5192, 5192, 17, 679, 107, 276, 12, 271, 0, 0,
+                  0, 0, 0, 0, 624, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kCompressed, 33,
+                 {48, 5599, 0, 0, 6536, 6536, 17, 671, 102, 300, 16, 431, 0, 0,
+                  0, 0, 0, 0, 646, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kCompressed, 44,
+                 {44, 4260, 0, 0, 5120, 5120, 21, 849, 70, 304, 15, 362, 0, 0,
+                  0, 0, 0, 0, 588, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kCompressed, 55,
+                 {35, 2893, 0, 0, 3568, 3568, 15, 550, 97, 265, 17, 445, 0, 0,
+                  0, 0, 0, 0, 618, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kCompressed, 66,
+                 {40, 4142, 0, 0, 4912, 4912, 15, 568, 107, 266, 12, 363, 0, 0,
+                  0, 0, 0, 0, 609, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kCompressed, 77,
+                 {49, 5322, 0, 0, 6272, 6272, 9, 362, 107, 268, 18, 485, 0, 0,
+                  0, 0, 0, 0, 659, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kCompressed, 88,
+                 {40, 5043, 0, 0, 5800, 5800, 18, 685, 84, 309, 10, 326, 0, 0,
+                  0, 0, 0, 0, 661, 0, 0, 0}}));
+INSTANTIATE_TEST_SUITE_P(
+    BudgetedSeeds, MemoryTrunkFuzzTest,
+    ::testing::Values(
+        FuzzCase{FuzzConfig::kBudgeted, 11,
+                 {45, 3179, 0, 0, 3696, 3696, 242, 5359, 16, 323, 6, 184, 19,
+                  2143, 619, 354, 72157, 39147, 621, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kBudgeted, 22,
+                 {39, 3582, 0, 0, 4160, 4160, 256, 5450, 7, 376, 6, 138, 10,
+                  832, 640, 394, 79722, 51198, 624, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kBudgeted, 33,
+                 {48, 3107, 0, 0, 3688, 3688, 273, 5688, 6, 396, 10, 270, 18,
+                  2492, 717, 423, 85770, 53440, 646, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kBudgeted, 44,
+                 {44, 3384, 0, 0, 4088, 4088, 266, 5714, 14, 360, 14, 346, 8,
+                  876, 683, 411, 84479, 47787, 588, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kBudgeted, 55,
+                 {35, 2893, 0, 0, 3568, 3568, 264, 5491, 7, 355, 17, 445, 0, 0,
+                  664, 405, 84476, 52203, 618, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kBudgeted, 66,
+                 {40, 3478, 0, 0, 4160, 4160, 257, 5330, 13, 360, 11, 345, 4,
+                  664, 687, 432, 80762, 50444, 609, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kBudgeted, 77,
+                 {49, 3585, 0, 0, 4144, 4144, 258, 5701, 9, 366, 11, 317, 20,
+                  1737, 721, 455, 86361, 54999, 659, 0, 0, 0}},
+        FuzzCase{FuzzConfig::kBudgeted, 88,
+                 {40, 3533, 0, 0, 4000, 4000, 286, 5691, 13, 380, 3, 86, 15,
+                  1510, 783, 472, 97744, 61640, 661, 0, 0, 0}}));
 
 TEST(MemoryStorageTest, AttachDetachTrunks) {
   MemoryStorage::Options options;
@@ -416,7 +626,7 @@ TEST(MemoryStorageTest, DefragDaemonSweeps) {
   options.defrag_threshold = 0.01;
   MemoryStorage storage(options);
   ASSERT_TRUE(storage.AttachTrunk(0).ok());
-  MemoryTrunk* trunk = storage.trunk(0);
+  auto trunk = storage.trunk(0);
   for (CellId id = 0; id < 100; ++id) {
     ASSERT_TRUE(trunk->AddCell(id, Slice(std::string(64, 'd'))).ok());
   }

@@ -196,7 +196,7 @@ TEST(ReplicationTest, WritesReachEveryInSyncReplica) {
   for (CellId id = 0; id < 64; ++id) {
     const TrunkId t = c.cloud->TrunkOf(id);
     for (MachineId r : table->replicas_of_trunk(t)) {
-      storage::MemoryTrunk* replica = c.cloud->storage(r)->replica_trunk(t);
+      auto replica = c.cloud->storage(r)->replica_trunk(t);
       ASSERT_NE(replica, nullptr);
       std::string out;
       ASSERT_TRUE(replica->GetCell(id, &out).ok())
@@ -467,7 +467,7 @@ TEST(ReplicationTest, ReReplicationRestoresTheFactor) {
     EXPECT_EQ(holders.size(), 3u) << "trunk " << t;
     EXPECT_EQ(holders.count(victim), 0u) << "trunk " << t;
     for (MachineId r : replicas) {
-      storage::MemoryTrunk* replica = c.cloud->storage(r)->replica_trunk(t);
+      auto replica = c.cloud->storage(r)->replica_trunk(t);
       ASSERT_NE(replica, nullptr) << "trunk " << t << " on " << r;
     }
   }
