@@ -6,7 +6,7 @@
 # script is the slower, paranoid gate.
 #
 #   scripts/check.sh                # ASan/UBSan build + full ctest
-#   scripts/check.sh --chaos        # ASan/UBSan build + chaos label only
+#   scripts/check.sh --chaos        # ASan/UBSan build + chaos and cloud labels
 #   scripts/check.sh --chaos-sweep [N]  # chaos label across N seed offsets
 #   scripts/check.sh --tsan         # TSan build + the multithreaded labels
 #   scripts/check.sh --stress [N]   # default build; threaded labels under
@@ -88,7 +88,7 @@ fi
 
 FILTER=()
 if [[ "${1:-}" == "--chaos" ]]; then
-  FILTER=(-L chaos)
+  FILTER=(-L 'chaos|cloud')
 fi
 
 cmake --preset sanitize

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
-#include <thread>
 #include <unordered_map>
 
 #include "analytics/intersect.h"
@@ -295,18 +294,10 @@ void CountView(const TriangleOptions& options, ThreadPool* pool,
   }
 }
 
-/// Dispatch pool with `num_threads` workers (0 = hardware concurrency).
-std::unique_ptr<ThreadPool> MakePool(int num_threads) {
-  if (num_threads <= 0) {
-    num_threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  return std::make_unique<ThreadPool>(std::max(num_threads, 1));
-}
-
 }  // namespace
 
 TriangleCounter::TriangleCounter(graph::Graph* graph, TriangleOptions options)
-    : graph_(graph), options_(options), pool_(MakePool(options.num_threads)) {}
+    : graph_(graph), options_(options), pool_(std::make_unique<ThreadPool>(options.num_threads)) {}
 
 TriangleCounter::TriangleCounter(graph::Graph* graph)
     : TriangleCounter(graph, TriangleOptions()) {}
@@ -443,7 +434,7 @@ Status CountEdgeSupport(const GraphSnapshot& snapshot,
   support->assign(snapshot.adjacency.size(), 0);
   ListResolver resolver;
   resolver.view = &snapshot;
-  const std::unique_ptr<ThreadPool> pool = MakePool(options.num_threads);
+  const auto pool = std::make_unique<ThreadPool>(options.num_threads);
   const double skew = options.gallop_skew;
   const std::uint64_t* offsets = snapshot.offsets.data();
   std::uint32_t* sup = support->data();

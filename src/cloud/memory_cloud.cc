@@ -141,41 +141,7 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
   fabric_->RegisterSyncHandler(
       m, kMultiGetHandler,
       [this, m](MachineId, Slice request, std::string* response) {
-        BinaryReader reader(request);
-        std::uint8_t op = 0;
-        std::uint32_t count = 0;
-        if (!reader.GetU8(&op) || !reader.GetU32(&count)) {
-          return Status::Corruption("bad multi-get request");
-        }
-        if (response == nullptr) return Status::InvalidArgument("no response");
-        auto store = StorageOf(m);
-        if (store == nullptr) return Status::Unavailable("not a slave");
-        for (std::uint32_t i = 0; i < count; ++i) {
-          CellId id = 0;
-          if (!reader.GetU64(&id)) {
-            return Status::Corruption("bad multi-get request");
-          }
-          auto trunk = store->trunk(TrunkOf(id));
-          if (trunk == nullptr) {
-            // The caller's table replica is stale for this id. Fail the
-            // whole batch so the caller re-routes each id individually —
-            // partial answers must not masquerade as NotFound.
-            return Status::Unavailable("trunk not hosted");
-          }
-          if (static_cast<CellOp>(op) == CellOp::kContains) {
-            // Present ids answer with an empty record; absent ids are
-            // simply omitted from the response.
-            if (trunk->Contains(id)) {
-              compute::AppendPackedRecord(response, id, Slice());
-            }
-            continue;
-          }
-          storage::MemoryTrunk::ConstAccessor accessor;
-          if (trunk->Access(id, &accessor).ok()) {
-            compute::AppendPackedRecord(response, id, accessor.data());
-          }
-        }
-        return Status::OK();
+        return ExecuteLocalMulti(m, request, response);
       });
   fabric_->RegisterSyncHandler(
       m, kHeartbeatHandler,
@@ -253,22 +219,7 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
         if (replica == nullptr) {
           return Status::Unavailable("no replica trunk hosted");
         }
-        // Mirror the primary's *successful* apply. Add mirrors as Put and
-        // Remove tolerates NotFound so a retried/duplicated ship converges
-        // to the primary's state instead of erroring.
-        switch (static_cast<CellOp>(op)) {
-          case CellOp::kAdd:
-          case CellOp::kPut:
-            return replica->PutCell(id, payload);
-          case CellOp::kRemove: {
-            Status rs = replica->RemoveCell(id);
-            return rs.IsNotFound() ? Status::OK() : rs;
-          }
-          case CellOp::kAppend:
-            return replica->AppendToCell(id, payload);
-          default:
-            return Status::InvalidArgument("non-mutating replica apply");
-        }
+        return ApplyMirrored(*replica, static_cast<CellOp>(op), id, payload);
       });
   fabric_->RegisterSyncHandler(
       m, kReplicaInstallHandler,
@@ -304,18 +255,11 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
         if (replica == nullptr) {
           return Status::Unavailable("no replica trunk hosted");
         }
-        switch (static_cast<CellOp>(op)) {
-          case CellOp::kGet:
-            if (response == nullptr) {
-              return Status::InvalidArgument("no response");
-            }
-            return replica->GetCell(id, response);
-          case CellOp::kContains:
-            return replica->Contains(id) ? Status::OK()
-                                         : Status::NotFound("");
-          default:
-            return Status::InvalidArgument("mutating replica read");
+        const auto read = static_cast<CellOp>(op);
+        if (read != CellOp::kGet && read != CellOp::kContains) {
+          return Status::InvalidArgument("mutating replica read");
         }
+        return ApplyOp(*replica, read, id, Slice(), response);
       });
   fabric_->RegisterSyncHandler(
       m, kIsrShrinkHandler,
@@ -358,10 +302,11 @@ MachineId MemoryCloud::MachineOf(CellId id) const {
   return RouteDst(leader(), id);
 }
 
-std::shared_ptr<storage::MemoryStorage> MemoryCloud::storage(MachineId m) {
-  // Lock-free: liveness and the storage pointer are both atomics. A crashed
-  // machine's memory image may linger until recovery (see OnInjectedCrash)
-  // but must never be readable.
+std::shared_ptr<storage::MemoryStorage> MemoryCloud::storage(
+    MachineId m) const {
+  // Lock-free: membership and the storage pointer are both atomics. A
+  // deposed machine keeps its image (see MarkDownLocked), but a non-member's
+  // memory must never be readable.
   if (!alive_[m].load(std::memory_order_acquire)) return nullptr;
   return StorageOf(m);
 }
@@ -413,46 +358,22 @@ Status MemoryCloud::ExecuteLocal(MachineId m, CellOp op, CellId id,
     // The caller's addressing-table replica is stale.
     return Status::Unavailable("trunk not hosted");
   }
-  const bool mutating = op == CellOp::kAdd || op == CellOp::kPut ||
-                        op == CellOp::kRemove || op == CellOp::kAppend;
-  Status result;
-  switch (op) {
-    case CellOp::kAdd:
-      result = trunk->AddCell(id, payload);
-      break;
-    case CellOp::kPut:
-      result = trunk->PutCell(id, payload);
-      break;
-    case CellOp::kGet: {
-      if (response == nullptr) return Status::InvalidArgument("no response");
-      return trunk->GetCell(id, response);
-    }
-    case CellOp::kRemove:
-      result = trunk->RemoveCell(id);
-      break;
-    case CellOp::kAppend:
-      result = trunk->AppendToCell(id, payload);
-      break;
-    case CellOp::kContains:
-      return trunk->Contains(id) ? Status::OK() : Status::NotFound("");
-    default:
-      return Status::InvalidArgument("unknown op");
-  }
+  const Status result = ApplyOp(*trunk, op, id, payload, response);
+  if (!result.ok() || !IsMutation(op)) return result;
   // Only *successful* mutations reach the backup's log buffer — a rejected
   // op (e.g. AddCell on an existing id) must not be replayed at recovery.
   // (The coarse crash model here — failures happen between operations —
   // makes log-after-apply equivalent to RAMCloud's log-before-commit.)
-  if (result.ok() && mutating && options_.buffered_logging &&
-      options_.tfs != nullptr) {
+  if (options_.buffered_logging && options_.tfs != nullptr) {
     if (!LogToBackup(m, op, id, payload)) {
       // The machine crashed while logging and no live backup holds the
-      // record: the local apply above is now a ghost image that recovery
-      // will discard. Acking would lose the write — fail instead, and let
-      // the caller's retry re-apply on the recovered owner.
+      // record: the local apply above went with the crashed machine's
+      // memory. Acking would lose the write — fail instead, and let the
+      // caller's retry re-apply on the recovered owner.
       return Status::Unavailable("machine crashed before logging completed");
     }
   }
-  if (result.ok() && mutating && replicated()) {
+  if (replicated()) {
     // Synchronous primary/backup replication: the ack goes out only after
     // every in-sync replica applied the mutation (or the leader confirmed
     // shrinking it out). Like the logging path above, a non-OK here after a
@@ -463,6 +384,75 @@ Status MemoryCloud::ExecuteLocal(MachineId m, CellOp op, CellId id,
     if (!rs.ok()) return rs;
   }
   return result;
+}
+
+Status MemoryCloud::ApplyOp(storage::MemoryTrunk& trunk, CellOp op, CellId id,
+                            Slice payload, std::string* response) {
+  switch (op) {
+    case CellOp::kAdd:
+      return trunk.AddCell(id, payload);
+    case CellOp::kPut:
+      return trunk.PutCell(id, payload);
+    case CellOp::kGet:
+      if (response == nullptr) return Status::InvalidArgument("no response");
+      return trunk.GetCell(id, response);
+    case CellOp::kRemove:
+      return trunk.RemoveCell(id);
+    case CellOp::kAppend:
+      return trunk.AppendToCell(id, payload);
+    case CellOp::kContains:
+      return trunk.Contains(id) ? Status::OK() : Status::NotFound("");
+  }
+  return Status::InvalidArgument("unknown op");
+}
+
+Status MemoryCloud::ApplyMirrored(storage::MemoryTrunk& trunk, CellOp op,
+                                  CellId id, Slice payload) {
+  if (!IsMutation(op)) {
+    return Status::InvalidArgument("non-mutating replica apply");
+  }
+  const Status s = ApplyOp(trunk, op == CellOp::kAdd ? CellOp::kPut : op, id,
+                           payload, nullptr);
+  return op == CellOp::kRemove && s.IsNotFound() ? Status::OK() : s;
+}
+
+Status MemoryCloud::ExecuteLocalMulti(MachineId m, Slice request,
+                                      std::string* response) {
+  BinaryReader reader(request);
+  std::uint8_t op = 0;
+  std::uint32_t count = 0;
+  if (!reader.GetU8(&op) || !reader.GetU32(&count)) {
+    return Status::Corruption("bad multi-get request");
+  }
+  if (response == nullptr) return Status::InvalidArgument("no response");
+  auto store = StorageOf(m);
+  if (store == nullptr) return Status::Unavailable("not a slave");
+  for (std::uint32_t i = 0; i < count; ++i) {
+    CellId id = 0;
+    if (!reader.GetU64(&id)) {
+      return Status::Corruption("bad multi-get request");
+    }
+    auto trunk = store->trunk(TrunkOf(id));
+    if (trunk == nullptr) {
+      // The caller's table replica is stale for this id. Fail the whole
+      // batch so the caller re-routes each id individually — partial
+      // answers must not masquerade as NotFound.
+      return Status::Unavailable("trunk not hosted");
+    }
+    if (static_cast<CellOp>(op) == CellOp::kContains) {
+      // Present ids answer with an empty record; absent ids are simply
+      // omitted from the response.
+      if (trunk->Contains(id)) {
+        compute::AppendPackedRecord(response, id, Slice());
+      }
+      continue;
+    }
+    storage::MemoryTrunk::ConstAccessor accessor;
+    if (trunk->Access(id, &accessor).ok()) {
+      compute::AppendPackedRecord(response, id, accessor.data());
+    }
+  }
+  return Status::OK();
 }
 
 Status MemoryCloud::ReplicateMutation(MachineId primary, CellOp op, CellId id,
@@ -523,7 +513,7 @@ Status MemoryCloud::ReplicateMutation(MachineId primary, CellOp op, CellId id,
   }
   if (!fabric_->IsMachineUp(primary)) {
     // Injected crash took the primary down mid-replication; its local apply
-    // is a ghost image that the promotion path discards.
+    // went with its memory.
     return Status::Unavailable("primary crashed during replication");
   }
   return Status::OK();
@@ -630,8 +620,7 @@ Status MemoryCloud::RouteOp(MachineId src, CellOp op, CellId id,
                             CallContext* ctx) {
   const RetryPolicy& retry = options_.retry;
   if (!fabric_->IsMachineUp(src)) {
-    // A dead machine cannot issue operations — this also keeps the local
-    // fast path below from reading a crashed machine's lingering image.
+    // A dead machine cannot issue operations.
     return Status::Unavailable("source machine is down");
   }
   bool owner_down = false;
@@ -647,8 +636,7 @@ Status MemoryCloud::RouteOp(MachineId src, CellOp op, CellId id,
   };
   hooks.keep_trying = [&] {
     if (!fabric_->IsMachineUp(src)) {
-      // The source crashed between attempts; its ghost image must not
-      // serve the local fast path below.
+      // The source crashed between attempts.
       src_down = true;
       return false;
     }
@@ -786,39 +774,22 @@ Status MemoryCloud::MultiOp(MachineId src, CellOp op,
   // RouteOp, which owns re-sync, degraded reads, and promotion failover.
   std::vector<std::size_t> fallback;
   for (const auto& [dst, indices] : groups) {
-    auto store = StorageOf(src);
-    if (dst == src && store != nullptr) {
-      // Local group: answer straight from the trunks, one accessor per id.
-      net::Fabric::MeterScope meter(*fabric_, src, net::MetersOf(ctx));
-      for (std::size_t i : indices) {
-        auto trunk = store->trunk(TrunkOf(ids[i]));
-        if (trunk == nullptr) {
-          fallback.push_back(i);  // Snapshot was stale for this id.
-          continue;
-        }
-        if (op == CellOp::kContains) {
-          if (trunk->Contains(ids[i])) (*out)[i].status = Status::OK();
-          continue;
-        }
-        storage::MemoryTrunk::ConstAccessor accessor;
-        Status s = trunk->Access(ids[i], &accessor);
-        if (s.ok()) {
-          (*out)[i].value.assign(accessor.data().data(),
-                                 accessor.data().size());
-          (*out)[i].status = Status::OK();
-        }
-      }
-      continue;
-    }
-    // Remote group: one packed request for the whole machine.
+    // One packed request for the whole machine. The group src owns itself
+    // runs the handler's body in place, as RouteOp runs ExecuteLocal.
     BinaryWriter writer;
     writer.PutU8(static_cast<std::uint8_t>(op));
     writer.PutU32(static_cast<std::uint32_t>(indices.size()));
     for (std::size_t i : indices) writer.PutU64(ids[i]);
     const std::string request = writer.Release();
     std::string response;
-    Status s = fabric_->Call(src, dst, kMultiGetHandler, Slice(request),
-                             &response, ctx);
+    Status s;
+    if (dst == src && StorageOf(src) != nullptr) {
+      net::Fabric::MeterScope meter(*fabric_, src, net::MetersOf(ctx));
+      s = ExecuteLocalMulti(src, Slice(request), &response);
+    } else {
+      s = fabric_->Call(src, dst, kMultiGetHandler, Slice(request),
+                        &response, ctx);
+    }
     if (!s.ok()) {
       // Stale routing, dead owner, or injected fault: every id in the group
       // retries individually so failover semantics match GetCellFrom.

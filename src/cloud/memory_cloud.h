@@ -153,10 +153,10 @@ class MemoryCloud {
   };
 
   /// Batched read: groups `ids` per owner machine using `src`'s table
-  /// replica (lock-free), answers ids owned by `src` straight from trunk
-  /// accessors, and ships ONE packed request per remote owner (response
-  /// records reuse the compute engines' [id][len][bytes] wire shape). A
-  /// whole-batch failure against one owner (crash, stale routing) falls
+  /// replica (lock-free) and sends ONE packed request per owner (response
+  /// records reuse the compute engines' [id][len][bytes] wire shape); the
+  /// group `src` owns itself runs in place, off the wire. A whole-batch
+  /// failure against one owner (crash, stale routing) falls
   /// back to per-id routed reads for that group, so replica failover and
   /// promotion semantics are exactly those of GetCellFrom. `out` is resized
   /// to ids.size(); ids may repeat. Returns non-OK only when the batch as a
@@ -193,11 +193,13 @@ class MemoryCloud {
   Status AppendToCellFrom(MachineId src, CellId id, Slice suffix,
                           CallContext* ctx = nullptr);
 
-  /// The local storage of a slave, or null for a down machine, a proxy or
-  /// the client. The pointer pins it: a crash or restart that swaps the
-  /// machine's storage out cannot free it under the holder. Engines use
-  /// this for partition-local scans; access is metered by the caller.
-  std::shared_ptr<storage::MemoryStorage> storage(MachineId m);
+  /// The local storage of a member slave, or null for a dead or deposed
+  /// machine, a proxy or the client. This is the cloud's one membership
+  /// test: under the cloud's lock a slave is a member exactly when this is
+  /// non-null. The pointer pins the storage: a crash or restart that swaps
+  /// it out cannot free it under the holder. Engines use this for
+  /// partition-local scans; access is metered by the caller.
+  std::shared_ptr<storage::MemoryStorage> storage(MachineId m) const;
 
   net::Fabric& fabric() { return *fabric_; }
   /// An immutable snapshot of the primary addressing table as of this call.
@@ -291,12 +293,12 @@ class MemoryCloud {
   std::uint64_t ReplicaMemoryBytes() const;
 
   /// Restores the replication factor after failures: computes the missing
-  /// (trunk, replica) pairs under the current membership, serializes the
-  /// source trunks in parallel on a thread pool, and ships the images
-  /// sequentially in canonical (trunk, target) order — parallel CPU work,
-  /// deterministic fabric traffic. Returns the number of replicas
-  /// installed. Run automatically after every DetectAndRecover sweep in
-  /// replicated mode.
+  /// (trunk, replica) pairs under the current membership and, in canonical
+  /// (trunk, target) order, serializes each source trunk just before
+  /// shipping its image, so the fabric traffic is deterministic and at most
+  /// one image is held at a time. Returns the number of replicas installed.
+  /// Run automatically after every DetectAndRecover sweep in replicated
+  /// mode.
   int ReReplicate();
 
  private:
@@ -342,10 +344,34 @@ class MemoryCloud {
   Status Init();
   void RegisterHandlers(MachineId m);
 
+  static bool IsMutation(CellOp op) {
+    return op == CellOp::kAdd || op == CellOp::kPut ||
+           op == CellOp::kRemove || op == CellOp::kAppend;
+  }
+
+  /// The one dispatch from a CellOp to a trunk call. Ops arrive off the
+  /// wire, so an unknown one is InvalidArgument.
+  static Status ApplyOp(storage::MemoryTrunk& trunk, CellOp op, CellId id,
+                        Slice payload, std::string* response);
+
+  /// Applies a mutation that already succeeded on a primary to a copy of
+  /// its trunk (a replica, or the reloaded trunk during log replay). Add
+  /// applies as Put and Remove tolerates NotFound, so a retried or
+  /// duplicated record converges to the primary's state. Reads are
+  /// InvalidArgument.
+  static Status ApplyMirrored(storage::MemoryTrunk& trunk, CellOp op,
+                              CellId id, Slice payload);
+
   /// Executes an op against machine m's local storage. Called both by the
   /// local fast path and by the remote sync handler.
   Status ExecuteLocal(MachineId m, CellOp op, CellId id, Slice payload,
                       std::string* response);
+
+  /// Executes a packed MultiGet/MultiContains request against machine m's
+  /// local storage, appending one [id][len][bytes] record per present id.
+  /// Called both by MultiOp's local group and by the remote sync handler.
+  /// A trunk m does not host fails the whole batch (Unavailable).
+  Status ExecuteLocalMulti(MachineId m, Slice request, std::string* response);
 
   /// Encodes and routes an op from src to the owner of id, handling stale
   /// table replicas and machine failures by re-syncing from the primary
@@ -374,14 +400,11 @@ class MemoryCloud {
   /// already equals the primary, else a fresh copy. Caller holds mu_.
   std::shared_ptr<const AddressingTable> PrimarySnapshotLocked() const;
 
-  /// Calls fn(store) for the storage of every alive slave.
+  /// Calls fn(store) for the storage of every member slave.
   template <typename Fn>
   void ForEachAliveStorage(Fn fn) const {
     for (MachineId m = 0; m < options_.num_slaves; ++m) {
-      auto store = StorageOf(m);
-      if (alive_[m].load(std::memory_order_acquire) && store != nullptr) {
-        fn(*store);
-      }
+      if (auto store = storage(m)) fn(*store);
     }
   }
 
@@ -395,16 +418,18 @@ class MemoryCloud {
   /// failure) cannot leave an acknowledged mutation unlogged. Returns false
   /// when the record is NOT safely held and the primary itself is down —
   /// the one case where acking would lose the write (the primary's local
-  /// apply is a ghost image that recovery discards).
+  /// apply went with its memory).
   bool LogToBackup(MachineId primary, CellOp op, CellId id, Slice payload);
 
-  /// Reacts to a fabric-injected crash: same state transition as
-  /// FailMachine, driven by the fault injector's crash schedules.
+  /// Reacts to a fabric-injected crash: the same transition as
+  /// FailMachine, storage dropped included, driven by the fault injector's
+  /// crash schedules. Readers that pinned the storage or a trunk keep it.
   void OnInjectedCrash(MachineId m);
 
-  /// The one "machine is gone" transition (crash, kill or deposition); the
-  /// ghost storage image stays only with `keep_image`. Caller holds mu_.
-  void MarkDownLocked(MachineId m, bool keep_image);
+  /// The one "machine is gone" transition (crash, kill or deposition). The
+  /// storage image is dropped unless the endpoint is still up, which is
+  /// deposition: a partitioned machine keeps its memory. Caller holds mu_.
+  void MarkDownLocked(MachineId m);
 
   /// Body of RecoverMachine; `depose` (sweep only) lets it act on a machine
   /// whose endpoint is up.
@@ -463,8 +488,8 @@ class MemoryCloud {
   /// MachineState holds atomics and is therefore not movable; the size is
   /// fixed at num_endpoints() after Init.
   std::unique_ptr<MachineState[]> machines_;
-  /// Slave liveness (proxies too); atomic so storage() and the fast read
-  /// path can check it without mu_.
+  /// Membership (proxies too); atomic so storage() can check it without
+  /// mu_. Under mu_ a member slave always holds storage.
   std::unique_ptr<std::atomic<bool>[]> alive_;
 
   mutable std::mutex mu_;  ///< Guards table/membership/leader state.

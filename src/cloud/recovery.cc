@@ -9,12 +9,13 @@
 #include "cloud/memory_cloud.h"
 #include "cloud/replica_placement.h"
 #include "common/serializer.h"
-#include "common/threadpool.h"
 
 namespace trinity::cloud {
 
-void MemoryCloud::MarkDownLocked(MachineId m, bool keep_image) {
-  if (!keep_image) machines_[m].storage.store(nullptr);  // RAM is gone.
+void MemoryCloud::MarkDownLocked(MachineId m) {
+  // A crash or kill takes the RAM; a deposed machine's endpoint is still up
+  // and keeps its image. Readers that pinned the storage keep theirs.
+  if (!fabric_->IsMachineUp(m)) machines_[m].storage.store(nullptr);
   // Already down: its logs went with the first transition.
   if (!alive_[m].exchange(false, std::memory_order_acq_rel)) return;
   if (m >= options_.num_slaves) return;  // Proxies/client carry no state.
@@ -29,13 +30,7 @@ void MemoryCloud::MarkDownLocked(MachineId m, bool keep_image) {
 void MemoryCloud::OnInjectedCrash(MachineId m) {
   if (m < 0 || m >= num_endpoints()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  // Unlike FailMachine we keep the storage object itself: an injected crash
-  // can fire mid-protocol while a caller (e.g. a vertex program) still holds
-  // zero-copy slices into this machine's trunk memory. The machine is
-  // unreachable — storage() hides dead machines' state and the fabric
-  // rejects their traffic — and the stale image is discarded by
-  // RecoverMachine/RestartMachine.
-  MarkDownLocked(m, /*keep_image=*/true);
+  MarkDownLocked(m);
 }
 
 Status MemoryCloud::FailMachine(MachineId m) {
@@ -44,7 +39,7 @@ Status MemoryCloud::FailMachine(MachineId m) {
   }
   fabric_->SetMachineDown(m);
   std::lock_guard<std::mutex> lock(mu_);
-  MarkDownLocked(m, /*keep_image=*/false);
+  MarkDownLocked(m);
   return Status::OK();
 }
 
@@ -104,11 +99,8 @@ Status MemoryCloud::ElectLeaderLocked() {
 
 MachineId MemoryCloud::LiveReplicaLocked(TrunkId t) const {
   for (MachineId r : primary_table_.replicas_of_trunk(t)) {
-    auto store = StorageOf(r);
-    if (alive_[r].load(std::memory_order_acquire) && store != nullptr &&
-        store->replica_trunk(t) != nullptr) {
-      return r;
-    }
+    auto store = storage(r);
+    if (store != nullptr && store->replica_trunk(t) != nullptr) return r;
   }
   return kInvalidMachine;
 }
@@ -146,9 +138,7 @@ Status MemoryCloud::Recover(MachineId failed, bool depose) {
       }
     }
   }
-  // A down endpoint is a crash: the image OnInjectedCrash kept for
-  // zero-copy readers is a ghost and goes now.
-  MarkDownLocked(failed, /*keep_image=*/fabric_->IsMachineUp(failed));
+  MarkDownLocked(failed);
   if (!alive_[leader_].load(std::memory_order_acquire)) {
     Status s = ElectLeaderLocked();
     if (!s.ok()) return s;
@@ -199,10 +189,7 @@ Status MemoryCloud::Recover(MachineId failed, bool depose) {
                                  "cold tier configured");
     }
     target = survivors[rr++ % survivors.size()];
-    auto target_store = StorageOf(target);
-    if (target_store == nullptr) {
-      return Status::Unavailable("recovery target lost its storage");
-    }
+    auto target_store = StorageOf(target);  // A member holds storage.
     std::unique_ptr<storage::MemoryTrunk> trunk;
     Status s = snap_prefix.empty()
                    ? Status::NotFound("no committed snapshot")
@@ -257,20 +244,7 @@ Status MemoryCloud::Recover(MachineId failed, bool depose) {
     if (owner_store == nullptr) continue;
     auto trunk = owner_store->trunk(t);
     if (trunk == nullptr) continue;
-    switch (record.op) {
-      case CellOp::kAdd:
-      case CellOp::kPut:
-        trunk->PutCell(record.id, Slice(record.payload));
-        break;
-      case CellOp::kRemove:
-        trunk->RemoveCell(record.id);
-        break;
-      case CellOp::kAppend:
-        trunk->AppendToCell(record.id, Slice(record.payload));
-        break;
-      default:
-        break;
-    }
+    ApplyMirrored(*trunk, record.op, record.id, Slice(record.payload));
   }
 
   if (!replicated()) {
@@ -385,8 +359,7 @@ int MemoryCloud::ReReplicate() {
     if (alive.size() < 2) return 0;
     for (TrunkId t = 0; t < primary_table_.num_slots(); ++t) {
       const MachineId primary = primary_table_.machine_of_trunk(t);
-      if (!alive_[primary].load(std::memory_order_acquire) ||
-          StorageOf(primary) == nullptr) {
+      if (storage(primary) == nullptr) {
         continue;  // Awaiting promotion; not repairable yet.
       }
       // Desired placement under the current membership. Rendezvous scores
@@ -409,41 +382,27 @@ int MemoryCloud::ReReplicate() {
     if (a.trunk != b.trunk) return a.trunk < b.trunk;
     return a.target < b.target;
   });
-  // Parallel partitioned serialization: the source images are built
-  // concurrently on the pool (the expensive, CPU-bound half), then shipped
-  // *sequentially* in canonical order so the fault injector's PRNG — and
-  // therefore every chaos seed's behavior — is consumed identically run to
-  // run. Mirrors the BSP engine's parallel-compute/sequential-traffic
-  // determinism pattern.
-  std::vector<std::string> images(jobs.size());
-  std::vector<Status> serialize_status(jobs.size(), Status::OK());
-  ThreadPool pool(0);
-  pool.ParallelFor(static_cast<int>(jobs.size()), [&](int i) {
-    auto store = StorageOf(jobs[i].primary);
-    std::shared_ptr<storage::MemoryTrunk> source =
-        store == nullptr ? nullptr : store->trunk(jobs[i].trunk);
-    if (source == nullptr) {
-      serialize_status[i] = Status::Unavailable("source trunk vanished");
-      return;
-    }
-    serialize_status[i] = source->Serialize(&images[i]);
-  });
+  // Ships run sequentially in canonical order so the fault injector's
+  // PRNG — and therefore every chaos seed's behavior — is consumed
+  // identically run to run. Each image is built just before its ship.
   int installed = 0;
   std::uint64_t shipped_bytes = 0;
   std::map<MachineId, double> per_target_micros;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const Job& job = jobs[i];
-    if (!serialize_status[i].ok()) continue;
+  for (const Job& job : jobs) {
     if (!fabric_->IsMachineUp(job.primary) ||
         !fabric_->IsMachineUp(job.target)) {
       continue;  // A crash got here first; the next sweep retries.
     }
+    auto store = StorageOf(job.primary);
+    auto source = store == nullptr ? nullptr : store->trunk(job.trunk);
+    std::string image;
+    if (source == nullptr || !source->Serialize(&image).ok()) continue;
     // Charge the serialization to the source machine's CPU meter.
     fabric_->AddCpuMicros(job.primary,
-                          static_cast<double>(images[i].size()) * 0.0005);
+                          static_cast<double>(image.size()) * 0.0005);
     BinaryWriter writer;
     writer.PutI32(job.trunk);
-    writer.PutBytes(Slice(images[i]));
+    writer.PutBytes(Slice(image));
     std::string unused;
     Status s = fabric_->Call(job.primary, job.target, kReplicaInstallHandler,
                              Slice(writer.buffer()), &unused);
@@ -455,9 +414,9 @@ int MemoryCloud::ReReplicate() {
         alive_[job.target].load(std::memory_order_acquire)) {
       primary_table_.AddReplica(job.trunk, job.target);
       ++installed;
-      shipped_bytes += images[i].size();
+      shipped_bytes += image.size();
       per_target_micros[job.target] +=
-          50.0 + static_cast<double>(images[i].size()) * 0.001;
+          50.0 + static_cast<double>(image.size()) * 0.001;
     }
   }
   if (installed > 0) {
@@ -510,10 +469,7 @@ int MemoryCloud::ReReplicate() {
       for (MachineId h : have) {
         if (std::find(want.begin(), want.end(), h) != want.end()) continue;
         primary_table_.RemoveReplica(t, h);
-        auto holder = StorageOf(h);
-        if (alive_[h].load(std::memory_order_acquire) && holder != nullptr) {
-          holder->DetachReplicaTrunk(t);
-        }
+        if (auto holder = storage(h)) holder->DetachReplicaTrunk(t);
         ++trimmed;
       }
     }
@@ -528,6 +484,7 @@ int MemoryCloud::ReReplicate() {
 
 Status MemoryCloud::MigrateTrunk(TrunkId trunk, MachineId to) {
   MachineId from;
+  std::shared_ptr<storage::MemoryStorage> from_store;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (trunk < 0 || trunk >= primary_table_.num_slots()) {
@@ -539,16 +496,12 @@ Status MemoryCloud::MigrateTrunk(TrunkId trunk, MachineId to) {
     }
     from = primary_table_.machine_of_trunk(trunk);
     if (from == to) return Status::OK();
-    if (!alive_[from].load(std::memory_order_acquire) ||
-        StorageOf(from) == nullptr) {
+    from_store = storage(from);
+    if (from_store == nullptr) {
       return Status::Unavailable("source machine is down");
     }
   }
   // 1. Serialize the trunk at the source (metered as its CPU work).
-  auto from_store = StorageOf(from);
-  if (from_store == nullptr) {
-    return Status::Unavailable("source machine is down");
-  }
   auto source = from_store->trunk(trunk);
   if (source == nullptr) return Status::NotFound("trunk not hosted at source");
   std::string image;
@@ -570,8 +523,7 @@ Status MemoryCloud::MigrateTrunk(TrunkId trunk, MachineId to) {
     // attach the image before the failure surfaced, detach it so exactly
     // one replica stays authoritative.
     std::lock_guard<std::mutex> lock(mu_);
-    auto to_store = StorageOf(to);
-    if (alive_[to].load(std::memory_order_acquire) && to_store != nullptr) {
+    if (auto to_store = storage(to)) {
       to_store->DetachTrunk(trunk);  // NotFound is fine.
     }
     return s.ok() ? Status::Unavailable(
@@ -584,9 +536,8 @@ Status MemoryCloud::MigrateTrunk(TrunkId trunk, MachineId to) {
   // is exactly the re-drive a leader performs for a half-finished migration.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (alive_[from].load(std::memory_order_acquire) &&
-        StorageOf(from) != nullptr) {
-      Status ds = StorageOf(from)->DetachTrunk(trunk);
+    if (auto source_store = storage(from)) {
+      Status ds = source_store->DetachTrunk(trunk);
       if (!ds.ok()) return ds;
     }
     if (replicated()) {
@@ -618,10 +569,7 @@ int MemoryCloud::RebalanceTrunks() {
       // Find the most- and least-loaded alive slaves.
       std::size_t max_count = 0, min_count = ~std::size_t{0};
       for (MachineId m = 0; m < options_.num_slaves; ++m) {
-        if (!alive_[m].load(std::memory_order_acquire) ||
-            StorageOf(m) == nullptr) {
-          continue;
-        }
+        if (storage(m) == nullptr) continue;
         const std::size_t count = primary_table_.trunks_of(m).size();
         if (count > max_count) {
           max_count = count;
@@ -667,10 +615,8 @@ Status MemoryCloud::SnapshotAllLocked() {
   const std::string snap_prefix =
       options_.tfs_prefix + "/snap_" + std::to_string(epoch);
   for (int m = 0; m < options_.num_slaves; ++m) {
-    auto store = StorageOf(m);
-    if (!alive_[m].load(std::memory_order_acquire) || store == nullptr) {
-      continue;
-    }
+    auto store = storage(m);
+    if (store == nullptr) continue;
     Status s = store->SaveToTfs(options_.tfs, snap_prefix);
     // A failure here abandons the staging files: the previous snapshot and
     // every buffered log record stay intact, so no recovery path ever sees

@@ -6,7 +6,10 @@
 namespace trinity {
 
 ThreadPool::ThreadPool(int num_threads)
-    : num_threads_(num_threads < 1 ? 1 : num_threads) {
+    : num_threads_(num_threads > 0
+                       ? num_threads
+                       : std::max(1, static_cast<int>(
+                                         std::thread::hardware_concurrency()))) {
   if (num_threads_ == 1) return;
   workers_.reserve(num_threads_);
   for (int i = 0; i < num_threads_; ++i) {

@@ -1,7 +1,6 @@
 #include "compute/async_engine.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/serializer.h"
 #include "compute/bsp.h"
@@ -39,12 +38,7 @@ AsyncEngine::AsyncEngine(graph::Graph* graph, Options options)
   cloud::MemoryCloud* cloud = graph_->cloud();
   num_slaves_ = cloud->num_slaves();
   machines_.resize(num_slaves_);
-  int threads = options_.num_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads < 1) threads = 1;
-  pool_ = std::make_unique<ThreadPool>(threads);
+  pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   VertexScheduler::Options sched;
   sched.mode = options_.scheduler;
   sched.combiner = options_.combiner;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <thread>
 #include <unordered_set>
 
 #include "common/hash.h"
@@ -45,12 +44,7 @@ BspEngine::BspEngine(graph::Graph* graph, Options options)
   cloud::MemoryCloud* cloud = graph_->cloud();
   num_slaves_ = cloud->num_slaves();
   machines_.resize(num_slaves_);
-  int threads = options_.num_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads < 1) threads = 1;
-  pool_ = std::make_unique<ThreadPool>(threads);
+  pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   for (MachineId m = 0; m < num_slaves_; ++m) {
     MachineState& state = machines_[m];
     state.slot_table.assign(16, kNoSlot);

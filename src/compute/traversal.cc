@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <limits>
-#include <thread>
 
 #include "common/serializer.h"
 #include "compute/packed_messages.h"
@@ -14,12 +13,7 @@ TraversalEngine::TraversalEngine(graph::Graph* graph, Options options)
       options_(std::move(options)),
       table_(graph->cloud()->table()) {
   num_slaves_ = graph_->cloud()->num_slaves();
-  int threads = options_.num_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads < 1) threads = 1;
-  pool_ = std::make_unique<ThreadPool>(threads);
+  pool_ = std::make_unique<ThreadPool>(options_.num_threads);
 }
 
 TraversalEngine::TraversalEngine(graph::Graph* graph)

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -909,6 +910,47 @@ TEST_P(ReplicatedConcurrentReadChaosTest, ReadersSurviveFailoverRounds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplicatedConcurrentReadChaosTest,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+// ------------------------------------------------------- Crash image
+
+// An injected crash drops the machine's memory at once, exactly as
+// FailMachine does: nothing keeps an unreachable image around. A reader
+// that pinned the storage and a trunk accessor before the crash still reads
+// the bytes it pinned, and recovery restores the acked write.
+TEST(CrashImageChaosTest, InjectedCrashFreesStorageButNotPinnedReaders) {
+  const std::uint64_t seed = 77 + SeedOffset();
+  ChaosCluster c = NewCluster("image", seed);
+  const MachineId victim = 1;
+  CellId id = 0;
+  while (c.cloud->MachineOf(id) != victim) ++id;
+  ASSERT_TRUE(c.cloud->PutCell(id, Slice("pinned bytes")).ok());
+
+  auto store = c.cloud->storage(victim);
+  ASSERT_NE(store, nullptr);
+  const std::weak_ptr<storage::MemoryStorage> image = store;
+  const auto trunk = store->trunk(c.cloud->TrunkOf(id));
+  ASSERT_NE(trunk, nullptr);
+  storage::MemoryTrunk::ConstAccessor accessor;
+  ASSERT_TRUE(trunk->Access(id, &accessor).ok());
+
+  c.injector->CrashAfter(victim, 1);
+  DrainCrashSchedule(c, victim);
+  ASSERT_FALSE(c.cloud->fabric().IsMachineUp(victim)) << "seed " << seed;
+  EXPECT_EQ(c.cloud->storage(victim), nullptr);
+  EXPECT_EQ(accessor.data().ToString(), "pinned bytes");
+  store.reset();
+  EXPECT_TRUE(image.expired()) << "the crash kept the storage image";
+  // The trunk pin outlives the storage that held it.
+  EXPECT_EQ(accessor.data().ToString(), "pinned bytes");
+  accessor = storage::MemoryTrunk::ConstAccessor();
+  std::string out;
+  ASSERT_TRUE(trunk->GetCell(id, &out).ok());
+  EXPECT_EQ(out, "pinned bytes");
+
+  HealCluster(c);
+  ASSERT_TRUE(c.cloud->GetCell(id, &out).ok()) << "seed " << seed;
+  EXPECT_EQ(out, "pinned bytes");
+}
 
 // ----------------------------------------------------------- Determinism
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <thread>
@@ -227,6 +228,14 @@ TEST(ThreadPoolTest, RunsAllTasks) {
   }
   pool.WaitIdle();
   EXPECT_EQ(done.load(), 100);
+}
+
+TEST(ThreadPoolTest, ZeroThreadsMeansOnePerHardwareThread) {
+  const int hardware =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  EXPECT_EQ(ThreadPool(0).num_threads(), hardware);
+  EXPECT_EQ(ThreadPool(-2).num_threads(), hardware);
+  EXPECT_EQ(ThreadPool(1).num_threads(), 1);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRange) {

@@ -204,11 +204,24 @@ TEST(ReplicationTest, WritesReachEveryInSyncReplica) {
       EXPECT_EQ(out, "v" + std::to_string(id));
     }
   }
-  // Removes and appends mirror too.
+  // Removes, adds and appends mirror too.
   ASSERT_TRUE(c.cloud->RemoveCell(7).ok());
   const TrunkId t7 = c.cloud->TrunkOf(7);
   for (MachineId r : table->replicas_of_trunk(t7)) {
     EXPECT_FALSE(c.cloud->storage(r)->replica_trunk(t7)->Contains(7));
+  }
+  ASSERT_TRUE(c.cloud->AddCell(100, Slice("added")).ok());
+  ASSERT_TRUE(c.cloud->AppendToCell(8, Slice("+tail")).ok());
+  for (const auto& [id, want] : {std::pair<CellId, std::string>{100, "added"},
+                                 std::pair<CellId, std::string>{8, "v8+tail"}}) {
+    const TrunkId t = c.cloud->TrunkOf(id);
+    ASSERT_FALSE(table->replicas_of_trunk(t).empty());
+    for (MachineId r : table->replicas_of_trunk(t)) {
+      std::string out;
+      ASSERT_TRUE(c.cloud->storage(r)->replica_trunk(t)->GetCell(id, &out).ok())
+          << "cell " << id << " missing on replica machine " << r;
+      EXPECT_EQ(out, want);
+    }
   }
   // A dead replica holder is shrunk out of the in-sync set by the next
   // write; the shrink's broadcast leaves every route fresh.
