@@ -43,23 +43,6 @@ int main() {
     cloud->storage(m)->StartDefragDaemon(std::chrono::milliseconds(20));
   }
 
-  auto totals = [&] {
-    storage::MemoryTrunk::Stats total;
-    for (MachineId m = 0; m < cloud->num_slaves(); ++m) {
-      for (TrunkId t : cloud->storage(m)->trunk_ids()) {
-        const auto stats = cloud->storage(m)->trunk(t)->stats();
-        total.live_bytes += stats.live_bytes;
-        total.dead_bytes += stats.dead_bytes;
-        total.reserved_slack += stats.reserved_slack;
-        total.committed_bytes += stats.committed_bytes;
-        total.defrag_passes += stats.defrag_passes;
-        total.expansions_in_place += stats.expansions_in_place;
-        total.expansions_relocated += stats.expansions_relocated;
-      }
-    }
-    return total;
-  };
-
   std::printf(
       "streaming edges into %llu node cells (preferential attachment)...\n\n",
       static_cast<unsigned long long>(kNodes));
@@ -77,7 +60,7 @@ int main() {
       const CellId to = rng.Uniform(kNodes);
       if (graph.AddEdge(std::min(from, kNodes - 1), to).ok()) ++edges;
     }
-    const auto t = totals();
+    const auto t = cloud->AggregateTrunkStats();
     std::printf("%10llu %10.1f %10.1f %10.1f %10.1f %10llu %9llu\n",
                 static_cast<unsigned long long>(edges),
                 static_cast<double>(t.live_bytes) / 1024.0,
@@ -91,7 +74,7 @@ int main() {
   for (MachineId m = 0; m < cloud->num_slaves(); ++m) {
     cloud->storage(m)->StopDefragDaemon();
   }
-  const auto final_stats = totals();
+  const auto final_stats = cloud->AggregateTrunkStats();
   std::printf(
       "\nfinal: %llu defrag passes reclaimed the stream's garbage; "
       "%.1f%% of expansions were in-place thanks to reservations\n",

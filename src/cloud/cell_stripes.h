@@ -1,8 +1,7 @@
 #ifndef TRINITY_CLOUD_CELL_STRIPES_H_
 #define TRINITY_CLOUD_CELL_STRIPES_H_
 
-#include <algorithm>
-#include <vector>
+#include <span>
 
 #include "common/hash.h"
 #include "common/spinlock.h"
@@ -10,22 +9,17 @@
 
 namespace trinity::cloud {
 
-/// Process-wide striped lock table serializing guarded multi-cell operations
-/// (MultiOp, the transaction layer's intent CAS) against each other AND
-/// against single-cell mutations of the same cells.
+/// One MemoryCloud's striped cell locks (paper §4.4: single-cell operations
+/// are atomic under per-cell spin locks). Guarded multi-cell operations
+/// (MultiOp, the transaction layer's intent CAS) and every single-cell
+/// mutation entry point take the stripes of the cells they touch, so a
+/// guarded apply and a bare write of the same cell serialize, one fully
+/// before the other. Reads take no stripe: they cannot invalidate a guard.
 ///
-/// Historically the stripes lived inside multiop.cc and only MultiOps took
-/// them, which left a race: a plain PutCell/RemoveCell could land between a
-/// MultiOp's guard evaluation and its action apply, silently invalidating
-/// the guard it had just checked. Now every single-cell *mutation* entry
-/// point in MemoryCloud acquires its cell's stripe too, so a guarded apply
-/// and a bare write serialize — one fully before the other.
-///
-/// Re-entrancy: MultiOp holds its stripes while applying actions through the
-/// very same MemoryCloud entry points, on the same thread (the fabric runs
-/// handlers synchronously on the caller's thread). A per-thread held-stripe
-/// list lets nested acquisitions skip stripes the thread already owns
-/// instead of self-deadlocking on the non-recursive spin locks.
+/// Each cloud owns its table, so two clouds in one process never block each
+/// other. The locks are not re-entrant and need not be: a MultiOp applies
+/// its actions below the entry points that take stripes, so no thread ever
+/// acquires a stripe it already holds.
 class CellStripes {
  public:
   static constexpr int kStripes = 1024;
@@ -35,52 +29,37 @@ class CellStripes {
                             kStripes);
   }
 
-  /// RAII multi-stripe acquisition. `stripes` must be sorted and unique
-  /// (deadlock-free global order); stripes already held by this thread are
-  /// skipped and stay held by the outer guard.
+  /// Holds `stripes`, which must be sorted and unique (one global lock
+  /// order, so guards never deadlock), until destruction.
   class Guard {
    public:
-    explicit Guard(const std::vector<int>& stripes) {
-      for (int s : stripes) Acquire(s);
+    Guard(CellStripes& table, std::span<const int> stripes)
+        : table_(table), stripes_(stripes) {
+      for (int s : stripes_) table_.locks_[s].Lock();
     }
-    /// Single-cell convenience used by the plain mutation entry points.
-    explicit Guard(CellId id) { Acquire(StripeOf(id)); }
+    /// Holds the stripe of one cell.
+    Guard(CellStripes& table, CellId id)
+        : table_(table), single_(StripeOf(id)), stripes_(&single_, 1) {
+      table_.locks_[single_].Lock();
+    }
 
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;
 
     ~Guard() {
-      std::vector<int>& held = HeldByThread();
-      for (auto it = acquired_.rbegin(); it != acquired_.rend(); ++it) {
-        Table()[*it].Unlock();
-        held.erase(std::find(held.begin(), held.end(), *it));
+      for (auto it = stripes_.rbegin(); it != stripes_.rend(); ++it) {
+        table_.locks_[*it].Unlock();
       }
     }
 
    private:
-    void Acquire(int stripe) {
-      std::vector<int>& held = HeldByThread();
-      if (std::find(held.begin(), held.end(), stripe) != held.end()) {
-        return;  // Re-entrant: the outer guard on this thread owns it.
-      }
-      Table()[stripe].Lock();
-      held.push_back(stripe);
-      acquired_.push_back(stripe);
-    }
-
-    std::vector<int> acquired_;  ///< Stripes this guard must release.
+    CellStripes& table_;
+    int single_ = 0;  ///< Backs stripes_ for a one-cell guard.
+    std::span<const int> stripes_;
   };
 
  private:
-  static SpinLock* Table() {
-    static SpinLock* stripes = new SpinLock[kStripes];
-    return stripes;
-  }
-
-  static std::vector<int>& HeldByThread() {
-    thread_local std::vector<int> held;
-    return held;
-  }
+  SpinLock locks_[kStripes];
 };
 
 }  // namespace trinity::cloud

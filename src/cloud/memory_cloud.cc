@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <map>
 
-#include "cloud/cell_stripes.h"
 #include "cloud/replica_placement.h"
 #include "common/logging.h"
 #include "common/serializer.h"
@@ -166,23 +165,33 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
         machines_[m].backup_logs[src].push_back(std::move(record));
         return Status::OK();
       });
-  fabric_->RegisterSyncHandler(
-      m, kTrunkMigrateHandler,
-      [this, m](MachineId, Slice request, std::string*) {
-        BinaryReader reader(request);
-        std::int32_t trunk_id = 0;
-        Slice image;
-        if (!reader.GetI32(&trunk_id) || !reader.GetBytes(&image)) {
-          return Status::Corruption("bad trunk migration request");
-        }
-        std::unique_ptr<storage::MemoryTrunk> trunk;
-        Status s = storage::MemoryTrunk::Deserialize(
-            image, options_.storage.trunk, &trunk);
-        if (!s.ok()) return s;
-        auto store = StorageOf(m);
-        if (store == nullptr) return Status::Unavailable("not a slave");
-        return store->AttachTrunk(trunk_id, std::move(trunk));
-      });
+  // Trunk-image installs, [i32 trunk][bytes image]: a migration attaches the
+  // image as a primary trunk, a re-replication as a replica trunk.
+  using Attach = Status (storage::MemoryStorage::*)(
+      TrunkId, std::unique_ptr<storage::MemoryTrunk>);
+  auto register_install = [this, m](net::HandlerId handler, Attach attach) {
+    fabric_->RegisterSyncHandler(
+        m, handler,
+        [this, m, attach](MachineId, Slice request, std::string*) {
+          BinaryReader reader(request);
+          std::int32_t trunk_id = 0;
+          Slice image;
+          if (!reader.GetI32(&trunk_id) || !reader.GetBytes(&image)) {
+            return Status::Corruption("bad trunk image request");
+          }
+          std::unique_ptr<storage::MemoryTrunk> trunk;
+          Status s = storage::MemoryTrunk::Deserialize(
+              image, options_.storage.trunk, &trunk);
+          if (!s.ok()) return s;
+          auto store = StorageOf(m);
+          if (store == nullptr) return Status::Unavailable("not a slave");
+          return ((*store).*attach)(trunk_id, std::move(trunk));
+        });
+  };
+  register_install(kTrunkMigrateHandler,
+                   &storage::MemoryStorage::AttachTrunk);
+  register_install(kReplicaInstallHandler,
+                   &storage::MemoryStorage::AttachReplicaTrunk);
   fabric_->RegisterSyncHandler(
       m, kReplicaApplyHandler,
       [this, m](MachineId, Slice request, std::string*) {
@@ -220,23 +229,6 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
           return Status::Unavailable("no replica trunk hosted");
         }
         return ApplyMirrored(*replica, static_cast<CellOp>(op), id, payload);
-      });
-  fabric_->RegisterSyncHandler(
-      m, kReplicaInstallHandler,
-      [this, m](MachineId, Slice request, std::string*) {
-        BinaryReader reader(request);
-        std::int32_t trunk_id = 0;
-        Slice image;
-        if (!reader.GetI32(&trunk_id) || !reader.GetBytes(&image)) {
-          return Status::Corruption("bad replica install request");
-        }
-        std::unique_ptr<storage::MemoryTrunk> trunk;
-        Status s = storage::MemoryTrunk::Deserialize(
-            image, options_.storage.trunk, &trunk);
-        if (!s.ok()) return s;
-        auto store = StorageOf(m);
-        if (store == nullptr) return Status::Unavailable("not a slave");
-        return store->AttachReplicaTrunk(trunk_id, std::move(trunk));
       });
   fabric_->RegisterSyncHandler(
       m, kReplicaReadHandler,
@@ -717,23 +709,21 @@ Status MemoryCloud::RouteOp(MachineId src, CellOp op, CellId id,
                              " attempts: " + last.message());
 }
 
-// Single-cell *mutations* acquire the cell's stripe in the shared
-// CellStripes table so they serialize against in-flight guarded operations
-// (MultiOp, transaction intent CAS) touching the same cell — a bare write
-// can no longer land between a guard's evaluation and its action apply.
-// Reads stay lock-free: they cannot invalidate a guard, and the guarded
-// paths hold the stripes across their own reads. Re-entrant acquisitions
-// from MultiOp's action phase are skipped by the per-thread held list.
+// Single-cell *mutations* take the cell's stripe so they serialize against
+// in-flight guarded operations (MultiOp, transaction intent CAS) touching
+// the same cell: a bare write cannot land between a guard's evaluation and
+// its action apply. Reads take none; the guarded paths hold the stripes
+// across their own reads.
 
 Status MemoryCloud::AddCellFrom(MachineId src, CellId id, Slice payload,
                                 CallContext* ctx) {
-  CellStripes::Guard guard(id);
+  CellStripes::Guard guard(stripes_, id);
   return RouteOp(src, CellOp::kAdd, id, payload, nullptr, ctx);
 }
 
 Status MemoryCloud::PutCellFrom(MachineId src, CellId id, Slice payload,
                                 CallContext* ctx) {
-  CellStripes::Guard guard(id);
+  CellStripes::Guard guard(stripes_, id);
   return RouteOp(src, CellOp::kPut, id, payload, nullptr, ctx);
 }
 
@@ -744,20 +734,20 @@ Status MemoryCloud::GetCellFrom(MachineId src, CellId id, std::string* out,
 
 Status MemoryCloud::RemoveCellFrom(MachineId src, CellId id,
                                    CallContext* ctx) {
-  CellStripes::Guard guard(id);
+  CellStripes::Guard guard(stripes_, id);
   return RouteOp(src, CellOp::kRemove, id, Slice(), nullptr, ctx);
 }
 
 Status MemoryCloud::AppendToCellFrom(MachineId src, CellId id, Slice suffix,
                                      CallContext* ctx) {
-  CellStripes::Guard guard(id);
+  CellStripes::Guard guard(stripes_, id);
   return RouteOp(src, CellOp::kAppend, id, suffix, nullptr, ctx);
 }
 
-Status MemoryCloud::MultiOp(MachineId src, CellOp op,
-                            std::span<const CellId> ids,
-                            std::vector<MultiGetResult>* out,
-                            CallContext* ctx) {
+Status MemoryCloud::MultiRead(MachineId src, CellOp op,
+                              std::span<const CellId> ids,
+                              std::vector<MultiGetResult>* out,
+                              CallContext* ctx) {
   if (out == nullptr) return Status::InvalidArgument("no output vector");
   out->assign(ids.size(), MultiGetResult{});
   if (ids.empty()) return Status::OK();
@@ -825,13 +815,13 @@ Status MemoryCloud::MultiOp(MachineId src, CellOp op,
 Status MemoryCloud::MultiGet(MachineId src, std::span<const CellId> ids,
                              std::vector<MultiGetResult>* out,
                              CallContext* ctx) {
-  return MultiOp(src, CellOp::kGet, ids, out, ctx);
+  return MultiRead(src, CellOp::kGet, ids, out, ctx);
 }
 
 Status MemoryCloud::MultiContains(MachineId src, std::span<const CellId> ids,
                                   std::vector<MultiGetResult>* out,
                                   CallContext* ctx) {
-  return MultiOp(src, CellOp::kContains, ids, out, ctx);
+  return MultiRead(src, CellOp::kContains, ids, out, ctx);
 }
 
 Status MemoryCloud::Contains(CellId id, bool* exists) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cloud/addressing_table.h"
+#include "cloud/cell_stripes.h"
 #include "common/call_context.h"
 #include "common/hash.h"
 #include "common/retry.h"
@@ -302,6 +303,10 @@ class MemoryCloud {
   int ReReplicate();
 
  private:
+  /// MultiOp holds its cells' stripes and applies its actions through
+  /// RouteOp, below the entry points that take stripes.
+  friend class MultiOp;
+
   enum class CellOp : std::uint8_t {
     kAdd = 1,
     kPut = 2,
@@ -369,7 +374,7 @@ class MemoryCloud {
 
   /// Executes a packed MultiGet/MultiContains request against machine m's
   /// local storage, appending one [id][len][bytes] record per present id.
-  /// Called both by MultiOp's local group and by the remote sync handler.
+  /// Called both by MultiRead's local group and by the remote sync handler.
   /// A trunk m does not host fails the whole batch (Unavailable).
   Status ExecuteLocalMulti(MachineId m, Slice request, std::string* response);
 
@@ -380,9 +385,9 @@ class MemoryCloud {
                  std::string* response, CallContext* ctx = nullptr);
 
   /// Shared body of MultiGet/MultiContains (op is kGet or kContains).
-  Status MultiOp(MachineId src, CellOp op, std::span<const CellId> ids,
-                 std::vector<MultiGetResult>* out,
-                 CallContext* ctx = nullptr);
+  Status MultiRead(MachineId src, CellOp op, std::span<const CellId> ids,
+                   std::vector<MultiGetResult>* out,
+                   CallContext* ctx = nullptr);
 
   /// Loads machine m's storage with acquire semantics; the returned
   /// shared_ptr keeps the storage alive for the duration of the caller's
@@ -503,6 +508,8 @@ class MemoryCloud {
   /// successful SnapshotAllLocked (the re-protection point).
   bool reprotect_pending_ = false;
   mutable RecoveryCounters recovery_stats_;
+  /// Taken by single-cell mutations and by MultiOp (see CellStripes).
+  CellStripes stripes_;
 };
 
 }  // namespace trinity::cloud

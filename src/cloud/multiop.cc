@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "cloud/cell_stripes.h"
-
 namespace trinity::cloud {
 
 MultiOp& MultiOp::CompareEquals(CellId id, Slice expected) {
@@ -22,25 +20,25 @@ MultiOp& MultiOp::CompareAbsent(CellId id) {
 }
 
 MultiOp& MultiOp::Put(CellId id, Slice payload) {
-  actions_.push_back(Action{ActionKind::kPut, id, payload.ToString()});
+  actions_.push_back(Action{CellOp::kPut, id, payload.ToString()});
   return *this;
 }
 
 MultiOp& MultiOp::Append(CellId id, Slice suffix) {
-  actions_.push_back(Action{ActionKind::kAppend, id, suffix.ToString()});
+  actions_.push_back(Action{CellOp::kAppend, id, suffix.ToString()});
   return *this;
 }
 
 MultiOp& MultiOp::Remove(CellId id) {
-  actions_.push_back(Action{ActionKind::kRemove, id, ""});
+  actions_.push_back(Action{CellOp::kRemove, id, ""});
   return *this;
 }
 
 Status MultiOp::Execute(MachineId src) {
   // Collect the distinct stripes of every touched cell and lock them in
-  // ascending order through the shared CellStripes table — the same table
-  // single-cell mutations acquire, so a bare Put/Remove can no longer land
-  // between guard evaluation and action apply.
+  // ascending order in the cloud's CellStripes table, the one single-cell
+  // mutations take, so a bare Put/Remove cannot land between guard
+  // evaluation and action apply.
   std::vector<int> stripes;
   stripes.reserve(guards_.size() + actions_.size());
   for (const Guard& guard : guards_) {
@@ -51,7 +49,7 @@ Status MultiOp::Execute(MachineId src) {
   }
   std::sort(stripes.begin(), stripes.end());
   stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
-  CellStripes::Guard lock(stripes);
+  CellStripes::Guard lock(cloud_->stripes_, stripes);
 
   // Phase 1: evaluate every guard.
   for (const Guard& guard : guards_) {
@@ -86,23 +84,13 @@ Status MultiOp::Execute(MachineId src) {
     }
   }
   if (phase_hook_) phase_hook_();
-  // Phase 2: apply every action. Infrastructure failures here can leave a
-  // partially applied MultiOp (no undo log) — the documented light-weight
+  // Phase 2: apply every action. RouteOp takes no stripe, so the ones held
+  // above are never acquired twice. Infrastructure failures here can leave
+  // a partially applied MultiOp (no undo log) — the documented light-weight
   // semantics.
   for (const Action& action : actions_) {
-    Status s;
-    switch (action.kind) {
-      case ActionKind::kPut:
-        s = cloud_->PutCellFrom(src, action.id, Slice(action.payload), ctx_);
-        break;
-      case ActionKind::kAppend:
-        s = cloud_->AppendToCellFrom(src, action.id, Slice(action.payload),
-                                     ctx_);
-        break;
-      case ActionKind::kRemove:
-        s = cloud_->RemoveCellFrom(src, action.id, ctx_);
-        break;
-    }
+    const Status s = cloud_->RouteOp(src, action.op, action.id,
+                                     Slice(action.payload), nullptr, ctx_);
     if (!s.ok()) return s;
   }
   return Status::OK();

@@ -18,12 +18,15 @@ namespace trinity::cloud {
 ///
 /// A MultiOp is a Sinfonia-style mini-transaction: a set of *compare*
 /// guards and a set of *write/append/remove* actions. Execution takes the
-/// cells' locks in global id order (two-phase, deadlock-free), evaluates
-/// every guard, and applies the actions only if all guards hold. This is
-/// not full ACID — there is no redo log beyond the cloud's buffered
-/// logging, and isolation is only against other MultiOps and single-cell
-/// operations on the same cells — exactly the "light-weight" level the
-/// paper positions above raw cells and below transactions.
+/// cells' stripes in the cloud's CellStripes table in ascending order
+/// (two-phase, deadlock-free), evaluates every guard, and applies the
+/// actions only if all guards hold. The actions go through the cloud's
+/// router directly, below the single-cell entry points that take stripes
+/// themselves. This is not full ACID — there is no redo log beyond the
+/// cloud's buffered logging, and isolation is only against other MultiOps
+/// and single-cell mutations of the same cells on the same cloud — exactly
+/// the "light-weight" level the paper positions above raw cells and below
+/// transactions.
 class MultiOp {
  public:
   explicit MultiOp(MemoryCloud* cloud) : cloud_(cloud) {}
@@ -71,7 +74,7 @@ class MultiOp {
 
  private:
   enum class GuardKind { kEquals, kExists, kAbsent };
-  enum class ActionKind { kPut, kAppend, kRemove };
+  using CellOp = MemoryCloud::CellOp;
 
   struct Guard {
     GuardKind kind;
@@ -79,7 +82,7 @@ class MultiOp {
     std::string expected;
   };
   struct Action {
-    ActionKind kind;
+    CellOp op;  ///< kPut, kAppend or kRemove.
     CellId id;
     std::string payload;
   };

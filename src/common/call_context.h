@@ -16,7 +16,7 @@ class MeterSet;
 class RetryBudget;
 
 /// Per-request context threaded down the serving path: frontend ->
-/// MemoryCloud::RouteOp/MultiOp -> Fabric::Call -> traversal rounds.
+/// MemoryCloud::RouteOp/MultiRead -> Fabric::Call -> traversal rounds.
 ///
 /// Deadlines are expressed in *simulated* microseconds, the same unit the
 /// fabric charges to per-machine CPU meters. Everything that would make a

@@ -248,9 +248,7 @@ std::vector<CellId> Graph::LocalNodes(MachineId machine) const {
   std::vector<CellId> result;
   const auto store = cloud_->storage(machine);
   if (store == nullptr) return result;
-  for (TrunkId t : store->trunk_ids()) {
-    auto trunk = store->trunk(t);
-    if (trunk == nullptr) continue;
+  for (const auto& [t, trunk] : store->PinTrunks()) {
     std::vector<CellId> ids = trunk->CellIds();
     result.insert(result.end(), ids.begin(), ids.end());
   }

@@ -91,9 +91,7 @@ Status RdfStore::GetObjectsFrom(MachineId src, CellId subject,
 Status RdfStore::ScanLocal(MachineId machine, const EntityVisitor& visit) {
   const auto store = cloud_->storage(machine);
   if (store == nullptr) return Status::NotFound("not a slave");
-  for (TrunkId t : store->trunk_ids()) {
-    auto trunk = store->trunk(t);
-    if (trunk == nullptr) continue;
+  for (const auto& [t, trunk] : store->PinTrunks()) {
     for (CellId id : trunk->CellIds()) {
       storage::MemoryTrunk::ConstAccessor accessor;
       Status s = trunk->Access(id, &accessor);

@@ -1,5 +1,6 @@
 #include "serving/query_frontend.h"
 
+#include "common/histogram.h"
 #include "compute/traversal.h"
 
 namespace trinity::serving {
@@ -116,7 +117,7 @@ Status QueryFrontend::Execute(const Request& request, Response* response) {
   if (!admitted.ok()) {
     response->status = admitted;
     response->latency_micros = watch.ElapsedMicros();
-    RecordOutcome(admitted, response->latency_micros);
+    RecordOutcome(admitted);
     return admitted;
   }
   counters_.admitted.fetch_add(1, std::memory_order_relaxed);
@@ -126,14 +127,13 @@ Status QueryFrontend::Execute(const Request& request, Response* response) {
 
   response->status = s;
   response->latency_micros = watch.ElapsedMicros();
-  RecordOutcome(s, response->latency_micros);
+  RecordOutcome(s);
   return s;
 }
 
 Status QueryFrontend::ExecuteTransaction(
     const std::function<Status(txn::Transaction&)>& body,
     double deadline_micros, const std::atomic<bool>* cancel) {
-  Stopwatch watch;
   counters_.received.fetch_add(1, std::memory_order_relaxed);
 
   const double deadline = deadline_micros > 0.0
@@ -146,7 +146,7 @@ Status QueryFrontend::ExecuteTransaction(
   // slot only (like batch requests).
   Status admitted = Admit(-1);
   if (!admitted.ok()) {
-    RecordOutcome(admitted, watch.ElapsedMicros());
+    RecordOutcome(admitted);
     return admitted;
   }
   counters_.admitted.fetch_add(1, std::memory_order_relaxed);
@@ -176,12 +176,11 @@ Status QueryFrontend::ExecuteTransaction(
   Release(-1);
 
   if (s.ok()) counters_.txn_committed.fetch_add(1, std::memory_order_relaxed);
-  RecordOutcome(s, watch.ElapsedMicros());
+  RecordOutcome(s);
   return s;
 }
 
-void QueryFrontend::RecordOutcome(const Status& status,
-                                  double latency_micros) {
+void QueryFrontend::RecordOutcome(const Status& status) {
   if (status.ok()) {
     counters_.ok.fetch_add(1, std::memory_order_relaxed);
   } else if (status.IsNotFound()) {
@@ -201,8 +200,6 @@ void QueryFrontend::RecordOutcome(const Status& status,
   } else {
     counters_.other_errors.fetch_add(1, std::memory_order_relaxed);
   }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  latency_micros_.Add(latency_micros);
 }
 
 ServingStats QueryFrontend::stats() const {
@@ -227,15 +224,6 @@ ServingStats QueryFrontend::stats() const {
     out.retries_granted = retry_budget_->granted();
     out.retries_denied = retry_budget_->denied();
     out.retry_budget_tokens = retry_budget_->tokens();
-  }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  out.latency_count = latency_micros_.count();
-  if (out.latency_count > 0) {
-    out.latency_mean_micros = latency_micros_.Mean();
-    out.latency_p50_micros = latency_micros_.Percentile(50.0);
-    out.latency_p95_micros = latency_micros_.Percentile(95.0);
-    out.latency_p99_micros = latency_micros_.Percentile(99.0);
-    out.latency_max_micros = latency_micros_.Max();
   }
   return out;
 }

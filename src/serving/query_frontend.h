@@ -11,7 +11,6 @@
 
 #include "cloud/memory_cloud.h"
 #include "common/call_context.h"
-#include "common/histogram.h"
 #include "common/retry.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -133,7 +132,7 @@ class QueryFrontend {
   void Release(MachineId machine);
   Status Dispatch(const Request& request, CallContext* ctx,
                   Response* response);
-  void RecordOutcome(const Status& status, double latency_micros);
+  void RecordOutcome(const Status& status);
 
   cloud::MemoryCloud* const cloud_;
   graph::Graph* const graph_;
@@ -149,8 +148,6 @@ class QueryFrontend {
   std::vector<int> inflight_per_machine_;
   int inflight_total_ = 0;
 
-  mutable std::mutex stats_mu_;
-  Histogram latency_micros_;  ///< Guarded by stats_mu_.
   struct Counters {
     std::atomic<std::uint64_t> received{0};
     std::atomic<std::uint64_t> admitted{0};

@@ -5,11 +5,12 @@
 
 namespace trinity::serving {
 
-/// Snapshot of frontend serving counters plus wall-clock latency
-/// percentiles (micros), taken by QueryFrontend::stats(). Counters
-/// partition terminal request outcomes: every request the frontend
+/// Snapshot of frontend serving counters, taken by QueryFrontend::stats().
+/// Counters partition terminal request outcomes: every request the frontend
 /// received lands in exactly one of ok / not_found / shed /
-/// deadline_exceeded / cancelled / unavailable / other_errors.
+/// deadline_exceeded / cancelled / txn_conflicts / unavailable /
+/// other_errors. Per-request wall time is QueryFrontend::Response's
+/// latency_micros; callers that want percentiles collect those.
 struct ServingStats {
   std::uint64_t received = 0;   ///< Requests presented to the frontend.
   std::uint64_t admitted = 0;   ///< Passed admission control.
@@ -39,14 +40,6 @@ struct ServingStats {
   std::uint64_t retries_granted = 0;
   std::uint64_t retries_denied = 0;
   double retry_budget_tokens = 0.0;
-
-  /// Wall-clock latency over completed requests (micros).
-  std::uint64_t latency_count = 0;
-  double latency_mean_micros = 0.0;
-  double latency_p50_micros = 0.0;
-  double latency_p95_micros = 0.0;
-  double latency_p99_micros = 0.0;
-  double latency_max_micros = 0.0;
 };
 
 }  // namespace trinity::serving

@@ -41,17 +41,6 @@ MemoryStorage::PinTrunks() const {
   return {trunks_.begin(), trunks_.end()};
 }
 
-std::vector<TrunkId> MemoryStorage::trunk_ids() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TrunkId> ids;
-  ids.reserve(trunks_.size());
-  for (const auto& [id, trunk] : trunks_) {
-    (void)trunk;
-    ids.push_back(id);
-  }
-  return ids;
-}
-
 Status MemoryStorage::AttachReplicaTrunk(TrunkId trunk_id) {
   std::unique_ptr<MemoryTrunk> trunk;
   Status s = MemoryTrunk::Create(options_.trunk, &trunk);

@@ -56,7 +56,11 @@ class MemoryStorage {
   /// a concurrent DetachTrunk (migration) cannot free it underneath.
   std::shared_ptr<MemoryTrunk> trunk(TrunkId trunk_id) const;
 
-  std::vector<TrunkId> trunk_ids() const;
+  /// The hosted primary trunks in ascending id order, each pinned so a
+  /// concurrent DetachTrunk cannot free it during a pass that runs without
+  /// this storage's lock. The one way to list a machine's trunks.
+  std::vector<std::pair<TrunkId, std::shared_ptr<MemoryTrunk>>> PinTrunks()
+      const;
 
   /// --- Hot-standby replica trunks -------------------------------------
   /// Replica trunks are full in-memory copies of trunks whose primary lives
@@ -119,10 +123,6 @@ class MemoryStorage {
   std::uint64_t DefragSweep();
 
  private:
-  /// The hosted primary trunks, pinned, for a pass that runs without mu_.
-  std::vector<std::pair<TrunkId, std::shared_ptr<MemoryTrunk>>> PinTrunks()
-      const;
-
   const Options options_;
   mutable std::mutex mu_;
   std::map<TrunkId, std::shared_ptr<MemoryTrunk>> trunks_;

@@ -75,7 +75,6 @@ SpinLock& MemoryTrunk::LockFor(CellId id) const {
 }
 
 std::shared_lock<std::shared_mutex> MemoryTrunk::ReadLock() const {
-  shared_reads_.fetch_add(1, std::memory_order_relaxed);
   std::shared_lock<std::shared_mutex> lock(mu_, std::try_to_lock);
   if (!lock.owns_lock()) {
     read_lock_contended_.fetch_add(1, std::memory_order_relaxed);
@@ -697,7 +696,6 @@ MemoryTrunk::Stats MemoryTrunk::stats() const {
   }
   // Lock-contention counters live outside stats_ as relaxed atomics so the
   // hot paths can bump them without owning the trunk lock exclusively.
-  s.shared_reads = shared_reads_.load(std::memory_order_relaxed);
   s.read_lock_contended = read_lock_contended_.load(std::memory_order_relaxed);
   s.write_lock_contended =
       write_lock_contended_.load(std::memory_order_relaxed);
@@ -726,7 +724,6 @@ MemoryTrunk::Stats& MemoryTrunk::Stats::operator+=(const Stats& o) {
   cells_faulted += o.cells_faulted;
   cold_bytes_written += o.cold_bytes_written;
   cold_bytes_read += o.cold_bytes_read;
-  shared_reads += o.shared_reads;
   read_lock_contended += o.read_lock_contended;
   write_lock_contended += o.write_lock_contended;
   cell_lock_contended += o.cell_lock_contended;

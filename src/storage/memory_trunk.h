@@ -146,7 +146,6 @@ class MemoryTrunk {
     std::uint64_t cold_bytes_written = 0;  ///< Cumulative bytes spilled out.
     std::uint64_t cold_bytes_read = 0;     ///< Cumulative bytes faulted in.
     /// Read-path observability (relaxed-atomic internally; snapshot here):
-    std::uint64_t shared_reads = 0;  ///< Shared-lock acquisitions (read ops).
     std::uint64_t read_lock_contended = 0;   ///< Shared acquisitions blocked.
     std::uint64_t write_lock_contended = 0;  ///< Exclusive acquis. blocked.
     std::uint64_t cell_lock_contended = 0;   ///< Stripe locks not free on try.
@@ -458,7 +457,6 @@ class MemoryTrunk {
   mutable std::unique_ptr<std::atomic<std::uint8_t>[]> ref_bits_;
   // Lock-contention counters live outside stats_ so the read path can bump
   // them without exclusive ownership; stats() folds them into the snapshot.
-  mutable std::atomic<std::uint64_t> shared_reads_{0};
   mutable std::atomic<std::uint64_t> read_lock_contended_{0};
   mutable std::atomic<std::uint64_t> write_lock_contended_{0};
   mutable std::atomic<std::uint64_t> cell_lock_contended_{0};

@@ -307,7 +307,6 @@ TEST(ConcurrentReadTest, SharedReadersRecordNoExclusiveContention) {
     ASSERT_TRUE(trunk->GetCell(7, &out).ok());
   }
   const auto after = trunk->stats();
-  EXPECT_GE(after.shared_reads - before.shared_reads, 1000u);
   EXPECT_EQ(after.read_lock_contended, before.read_lock_contended);
 }
 

@@ -156,6 +156,42 @@ TEST(MultiOpTest, SingleCellWriteCannotSplitGuardAndApply) {
   EXPECT_EQ(v, "racer");
 }
 
+// Each cloud owns its cell stripes: a MultiOp parked inside its critical
+// section on cloud A must not hold up a Put of the same cell id on cloud B.
+// The hook gives up waiting after 2 s, so stripes shared across clouds fail
+// the test instead of hanging it.
+TEST(MultiOpTest, CloudsDoNotShareCellLocks) {
+  auto a = NewCloud();
+  auto b = NewCloud();
+  ASSERT_TRUE(a->AddCell(1, Slice("0")).ok());
+
+  std::atomic<bool> put_done{false};
+  std::thread other;
+  cloud::MultiOp op(a.get());
+  op.CompareEquals(1, Slice("0")).Put(1, Slice("a"));
+  op.SetPhaseHookForTest([&] {
+    other = std::thread([&] {
+      EXPECT_TRUE(b->PutCell(1, Slice("b")).ok());
+      put_done.store(true);
+    });
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!put_done.load() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(put_done.load())
+        << "a Put on cloud B waited for a MultiOp on cloud A";
+  });
+  ASSERT_TRUE(op.Execute().ok());
+  other.join();
+
+  std::string v;
+  ASSERT_TRUE(a->GetCell(1, &v).ok());
+  EXPECT_EQ(v, "a");
+  ASSERT_TRUE(b->GetCell(1, &v).ok());
+  EXPECT_EQ(v, "b");
+}
+
 TEST(MultiOpTest, ConcurrentCountersStayConsistent) {
   auto cloud = NewCloud();
   // Two counters whose sum must stay 0: concurrent +1/-1 MultiOps.

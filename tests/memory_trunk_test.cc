@@ -321,8 +321,7 @@ constexpr const char* kCounterNames[] = {
     "expansions_relocated", "compressed_cells",    "compressed_bytes",
     "spilled_cells",       "spilled_bytes",        "cells_evicted",
     "cells_faulted",       "cold_bytes_written",   "cold_bytes_read",
-    "shared_reads",        "read_lock_contended",  "write_lock_contended",
-    "cell_lock_contended"};
+    "read_lock_contended", "write_lock_contended", "cell_lock_contended"};
 using Counters = std::array<std::uint64_t, std::size(kCounterNames)>;
 
 Counters DeterministicCounters(const MemoryTrunk::Stats& s) {
@@ -332,8 +331,7 @@ Counters DeterministicCounters(const MemoryTrunk::Stats& s) {
           s.expansions_relocated, s.compressed_cells,    s.compressed_bytes,
           s.spilled_cells,       s.spilled_bytes,        s.cells_evicted,
           s.cells_faulted,       s.cold_bytes_written,   s.cold_bytes_read,
-          s.shared_reads,        s.read_lock_contended,  s.write_lock_contended,
-          s.cell_lock_contended};
+          s.read_lock_contended, s.write_lock_contended, s.cell_lock_contended};
 }
 
 struct FuzzCase {
@@ -505,82 +503,82 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         FuzzCase{FuzzConfig::kRaw, 11,
                  {45, 6261, 0, 0, 7136, 7136, 17, 694, 87, 252, 0, 0, 0, 0, 0,
-                  0, 0, 0, 621, 0, 0, 0}},
+                  0, 0, 0, 0, 0, 0}},
         FuzzCase{FuzzConfig::kRaw, 22,
                  {39, 4962, 0, 0, 5736, 5736, 17, 675, 130, 253, 0, 0, 0, 0, 0,
-                  0, 0, 0, 624, 0, 0, 0}},
+                  0, 0, 0, 0, 0, 0}},
         FuzzCase{FuzzConfig::kRaw, 33,
                  {48, 6811, 0, 0, 7744, 7744, 17, 658, 118, 284, 0, 0, 0, 0, 0,
-                  0, 0, 0, 646, 0, 0, 0}},
+                  0, 0, 0, 0, 0, 0}},
         FuzzCase{FuzzConfig::kRaw, 44,
                  {44, 5344, 0, 0, 6216, 6216, 21, 850, 90, 284, 0, 0, 0, 0, 0,
-                  0, 0, 0, 588, 0, 0, 0}},
+                  0, 0, 0, 0, 0, 0}},
         FuzzCase{FuzzConfig::kRaw, 55,
                  {35, 3973, 0, 0, 4648, 4648, 15, 546, 124, 238, 0, 0, 0, 0, 0,
-                  0, 0, 0, 618, 0, 0, 0}},
+                  0, 0, 0, 0, 0, 0}},
         FuzzCase{FuzzConfig::kRaw, 66,
                  {40, 5135, 0, 0, 5920, 5920, 15, 567, 141, 232, 0, 0, 0, 0, 0,
-                  0, 0, 0, 609, 0, 0, 0}},
+                  0, 0, 0, 0, 0, 0}},
         FuzzCase{FuzzConfig::kRaw, 77,
                  {49, 6807, 0, 0, 7752, 7752, 9, 362, 135, 240, 0, 0, 0, 0, 0,
-                  0, 0, 0, 659, 0, 0, 0}},
+                  0, 0, 0, 0, 0, 0}},
         FuzzCase{FuzzConfig::kRaw, 88,
                  {40, 5969, 0, 0, 6704, 6704, 18, 684, 117, 276, 0, 0, 0, 0, 0,
-                  0, 0, 0, 661, 0, 0, 0}}));
+                  0, 0, 0, 0, 0, 0}}));
 INSTANTIATE_TEST_SUITE_P(
     CompressedSeeds, MemoryTrunkFuzzTest,
     ::testing::Values(
         FuzzCase{FuzzConfig::kCompressed, 11,
                  {45, 5322, 0, 0, 6208, 6208, 17, 692, 66, 273, 12, 348, 0, 0,
-                  0, 0, 0, 0, 621, 0, 0, 0}},
+                  0, 0, 0, 0, 0, 0, 0}},
         FuzzCase{FuzzConfig::kCompressed, 22,
                  {39, 4414, 0, 0, 5192, 5192, 17, 679, 107, 276, 12, 271, 0, 0,
-                  0, 0, 0, 0, 624, 0, 0, 0}},
+                  0, 0, 0, 0, 0, 0, 0}},
         FuzzCase{FuzzConfig::kCompressed, 33,
                  {48, 5599, 0, 0, 6536, 6536, 17, 671, 102, 300, 16, 431, 0, 0,
-                  0, 0, 0, 0, 646, 0, 0, 0}},
+                  0, 0, 0, 0, 0, 0, 0}},
         FuzzCase{FuzzConfig::kCompressed, 44,
                  {44, 4260, 0, 0, 5120, 5120, 21, 849, 70, 304, 15, 362, 0, 0,
-                  0, 0, 0, 0, 588, 0, 0, 0}},
+                  0, 0, 0, 0, 0, 0, 0}},
         FuzzCase{FuzzConfig::kCompressed, 55,
                  {35, 2893, 0, 0, 3568, 3568, 15, 550, 97, 265, 17, 445, 0, 0,
-                  0, 0, 0, 0, 618, 0, 0, 0}},
+                  0, 0, 0, 0, 0, 0, 0}},
         FuzzCase{FuzzConfig::kCompressed, 66,
                  {40, 4142, 0, 0, 4912, 4912, 15, 568, 107, 266, 12, 363, 0, 0,
-                  0, 0, 0, 0, 609, 0, 0, 0}},
+                  0, 0, 0, 0, 0, 0, 0}},
         FuzzCase{FuzzConfig::kCompressed, 77,
                  {49, 5322, 0, 0, 6272, 6272, 9, 362, 107, 268, 18, 485, 0, 0,
-                  0, 0, 0, 0, 659, 0, 0, 0}},
+                  0, 0, 0, 0, 0, 0, 0}},
         FuzzCase{FuzzConfig::kCompressed, 88,
                  {40, 5043, 0, 0, 5800, 5800, 18, 685, 84, 309, 10, 326, 0, 0,
-                  0, 0, 0, 0, 661, 0, 0, 0}}));
+                  0, 0, 0, 0, 0, 0, 0}}));
 INSTANTIATE_TEST_SUITE_P(
     BudgetedSeeds, MemoryTrunkFuzzTest,
     ::testing::Values(
         FuzzCase{FuzzConfig::kBudgeted, 11,
                  {45, 3179, 0, 0, 3696, 3696, 242, 5359, 16, 323, 6, 184, 19,
-                  2143, 619, 354, 72157, 39147, 621, 0, 0, 0}},
+                  2143, 619, 354, 72157, 39147, 0, 0, 0}},
         FuzzCase{FuzzConfig::kBudgeted, 22,
                  {39, 3582, 0, 0, 4160, 4160, 256, 5450, 7, 376, 6, 138, 10,
-                  832, 640, 394, 79722, 51198, 624, 0, 0, 0}},
+                  832, 640, 394, 79722, 51198, 0, 0, 0}},
         FuzzCase{FuzzConfig::kBudgeted, 33,
                  {48, 3107, 0, 0, 3688, 3688, 273, 5688, 6, 396, 10, 270, 18,
-                  2492, 717, 423, 85770, 53440, 646, 0, 0, 0}},
+                  2492, 717, 423, 85770, 53440, 0, 0, 0}},
         FuzzCase{FuzzConfig::kBudgeted, 44,
                  {44, 3384, 0, 0, 4088, 4088, 266, 5714, 14, 360, 14, 346, 8,
-                  876, 683, 411, 84479, 47787, 588, 0, 0, 0}},
+                  876, 683, 411, 84479, 47787, 0, 0, 0}},
         FuzzCase{FuzzConfig::kBudgeted, 55,
                  {35, 2893, 0, 0, 3568, 3568, 264, 5491, 7, 355, 17, 445, 0, 0,
-                  664, 405, 84476, 52203, 618, 0, 0, 0}},
+                  664, 405, 84476, 52203, 0, 0, 0}},
         FuzzCase{FuzzConfig::kBudgeted, 66,
                  {40, 3478, 0, 0, 4160, 4160, 257, 5330, 13, 360, 11, 345, 4,
-                  664, 687, 432, 80762, 50444, 609, 0, 0, 0}},
+                  664, 687, 432, 80762, 50444, 0, 0, 0}},
         FuzzCase{FuzzConfig::kBudgeted, 77,
                  {49, 3585, 0, 0, 4144, 4144, 258, 5701, 9, 366, 11, 317, 20,
-                  1737, 721, 455, 86361, 54999, 659, 0, 0, 0}},
+                  1737, 721, 455, 86361, 54999, 0, 0, 0}},
         FuzzCase{FuzzConfig::kBudgeted, 88,
                  {40, 3533, 0, 0, 4000, 4000, 286, 5691, 13, 380, 3, 86, 15,
-                  1510, 783, 472, 97744, 61640, 661, 0, 0, 0}}));
+                  1510, 783, 472, 97744, 61640, 0, 0, 0}}));
 
 TEST(MemoryStorageTest, AttachDetachTrunks) {
   MemoryStorage::Options options;
@@ -591,7 +589,7 @@ TEST(MemoryStorageTest, AttachDetachTrunks) {
   EXPECT_TRUE(storage.AttachTrunk(0).IsAlreadyExists());
   EXPECT_NE(storage.trunk(0), nullptr);
   EXPECT_EQ(storage.trunk(9), nullptr);
-  EXPECT_EQ(storage.trunk_ids().size(), 2u);
+  EXPECT_EQ(storage.PinTrunks().size(), 2u);
   ASSERT_TRUE(storage.DetachTrunk(0).ok());
   EXPECT_TRUE(storage.DetachTrunk(0).IsNotFound());
 }
