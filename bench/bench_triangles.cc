@@ -162,9 +162,11 @@ void RunConfig(bench::JsonEmitter& json, const char* graph_name,
   TRINITY_CHECK(truss.triangles == naive, "k-truss triangle total mismatch");
   std::printf(
       "  k-truss   %8.1f ms  max k=%u over %zu edges  (adjacency %.1f, "
-      "support %.1f, peel %.1f ms)\n",
+      "support %.1f, peel %.1f ms; %llu hub rows, %.2f MB bitmaps)\n",
       truss_ms, truss.max_trussness, truss.num_edges(),
-      truss_stats.adjacency_ms, truss_stats.support_ms, truss_stats.peel_ms);
+      truss_stats.adjacency_ms, truss_stats.support_ms, truss_stats.peel_ms,
+      static_cast<unsigned long long>(truss_stats.hub_rows),
+      static_cast<double>(truss_stats.bitmap_bytes) / (1 << 20));
   json.BeginRow("ktruss");
   json.Add("graph", std::string(graph_name));
   json.Add("machines", slaves);
@@ -172,6 +174,8 @@ void RunConfig(bench::JsonEmitter& json, const char* graph_name,
   json.Add("adjacency_ms", truss_stats.adjacency_ms);
   json.Add("support_ms", truss_stats.support_ms);
   json.Add("peel_ms", truss_stats.peel_ms);
+  json.Add("hub_rows", truss_stats.hub_rows);
+  json.Add("bitmap_bytes", truss_stats.bitmap_bytes);
   json.Add("max_trussness", static_cast<std::uint64_t>(truss.max_trussness));
   json.Add("edges", static_cast<std::uint64_t>(truss.num_edges()));
 }

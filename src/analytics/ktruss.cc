@@ -1,6 +1,8 @@
 #include "analytics/ktruss.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <numeric>
 
 #include "analytics/intersect.h"
@@ -19,6 +21,14 @@ std::uint32_t KTrussResult::TrussnessOf(std::uint32_t a,
                                    std::min(a, b));
   return it == end || *it != std::min(a, b) ? 0 : trussness[it - dst.begin()];
 }
+
+namespace {
+
+/// Rows of at least this undirected degree get a rank bitmap in the peel.
+constexpr std::uint64_t kHubDegree = 64;
+constexpr std::uint32_t kNotHub = ~std::uint32_t{0};
+
+}  // namespace
 
 Status KTrussDecompose(const GraphSnapshot& snapshot, KTrussResult* out,
                        KTrussStats* stats) {
@@ -60,6 +70,35 @@ Status KTrussDecompose(const GraphSnapshot& snapshot, KTrussResult* out,
   std::vector<std::uint64_t> end(row.begin(), row.end() - 1);
   std::vector<std::uint32_t> nbr(2 * m);
   std::vector<std::uint32_t> eid(2 * m);
+
+  // Hub rows (degree >= kHubDegree) also get a rank bitmap over all n
+  // vertices with 16-bit per-word prefix counts: bit w says w is in the
+  // row, and its rank is w's index in the sorted row as filled. A row must
+  // fit the 16-bit counts, and its bitmap may not outweigh its CSR entries
+  // more than 5x (degree >= n / 256), which bounds the memory on large
+  // sparse graphs. hub_eid keeps each hub row's edge ids in filled order,
+  // since compaction later shifts the row itself.
+  const std::size_t words = (std::size_t{n} + 63) / 64;
+  std::vector<std::uint32_t> hub(n, kNotHub);
+  std::vector<std::uint64_t> hub_base{0};
+  for (std::uint32_t v = 0; v < n; ++v) {
+    const std::uint64_t degree = row[v + 1] - row[v];
+    if (degree < kHubDegree || degree * 256 < n ||
+        degree > std::numeric_limits<std::uint16_t>::max()) {
+      continue;
+    }
+    hub[v] = static_cast<std::uint32_t>(hub_base.size() - 1);
+    hub_base.push_back(hub_base.back() + degree);
+  }
+  const std::size_t hubs = hub_base.size() - 1;
+  std::vector<std::uint64_t> hub_bits(hubs * words);
+  std::vector<std::uint16_t> hub_rank(hubs * words);
+  std::vector<std::uint32_t> hub_eid(hub_base.back());
+  const auto mark = [&](std::uint32_t v, std::uint32_t u) {
+    if (hub[v] != kNotHub) {
+      hub_bits[hub[v] * words + u / 64] |= std::uint64_t{1} << (u % 64);
+    }
+  };
   for (std::uint32_t v = 0; v < n; ++v) {
     for (auto e = static_cast<std::uint32_t>(snapshot.offsets[v]);
          e < snapshot.offsets[v + 1]; ++e) {
@@ -69,8 +108,24 @@ Status KTrussDecompose(const GraphSnapshot& snapshot, KTrussResult* out,
       eid[end[v]++] = e;
       nbr[end[u]] = v;
       eid[end[u]++] = e;
+      mark(v, u);
+      mark(u, v);
     }
   }
+  for (std::uint32_t v = 0; v < n; ++v) {
+    if (hub[v] == kNotHub) continue;
+    std::copy(eid.begin() + row[v], eid.begin() + row[v + 1],
+              hub_eid.begin() + hub_base[hub[v]]);
+    std::uint16_t before = 0;
+    for (std::size_t w = hub[v] * words; w < (hub[v] + 1) * words; ++w) {
+      hub_rank[w] = before;
+      before += static_cast<std::uint16_t>(std::popcount(hub_bits[w]));
+    }
+  }
+  stats->hub_rows = hubs;
+  stats->bitmap_bytes = hub_bits.size() * sizeof(std::uint64_t) +
+                        hub_rank.size() * sizeof(std::uint16_t) +
+                        hub_eid.size() * sizeof(std::uint32_t);
   stats->adjacency_ms = watch.ElapsedMillis();
 
   // Bucket queue over supports (k-core style): edges sorted by support,
@@ -125,9 +180,12 @@ Status KTrussDecompose(const GraphSnapshot& snapshot, KTrussResult* out,
     std::uint32_t y = out->dst[e];
     --live[x];
     --live[y];
-    // Scan the endpoint x with the shorter live list, compacting its dead
-    // entries (e among them). y's row — often a hub's — is only searched.
-    if (live[y] < live[x]) std::swap(x, y);
+    // Scan one endpoint x, compacting its dead entries (e among them); the
+    // other endpoint y's row is only searched. Against a hub, scan the
+    // non-hub; otherwise (or between two hubs) the shorter live list.
+    const bool x_hub = hub[x] != kNotHub;
+    const bool y_hub = hub[y] != kNotHub;
+    if (x_hub != y_hub ? x_hub : live[y] < live[x]) std::swap(x, y);
     std::uint64_t kept = row[x];
     for (std::uint64_t p = row[x]; p < end[x]; ++p) {
       if (!alive[eid[p]]) continue;
@@ -135,17 +193,33 @@ Status KTrussDecompose(const GraphSnapshot& snapshot, KTrussResult* out,
       eid[kept++] = eid[p];
     }
     end[x] = kept;
+    // Triangle {x, y, w} still closed: both surviving edges lose e's
+    // support, clamped at the current peel level.
+    const auto closed = [&](std::uint32_t fx, std::uint32_t fy) {
+      if (!alive[fy]) return;
+      if (support[fx] > level) decrement(fx);
+      if (support[fy] > level) decrement(fy);
+    };
+    if (hub[y] != kNotHub) {
+      // One bitmap probe per live entry of x; a hit's rank indexes y's
+      // edge ids as filled.
+      const std::uint64_t* bits = hub_bits.data() + hub[y] * words;
+      const std::uint16_t* rank = hub_rank.data() + hub[y] * words;
+      const std::uint32_t* ye = hub_eid.data() + hub_base[hub[y]];
+      for (std::uint64_t p = row[x]; p < end[x]; ++p) {
+        const std::uint32_t w = nbr[p];
+        const std::uint64_t word = bits[w / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (w % 64);
+        if ((word & bit) == 0) continue;
+        closed(eid[p], ye[rank[w / 64] + std::popcount(word & (bit - 1))]);
+      }
+      continue;
+    }
     const std::uint32_t* xe = eid.data() + row[x];
     const std::uint32_t* ye = eid.data() + row[y];
     IntersectEach(nbr.data() + row[x], end[x] - row[x], nbr.data() + row[y],
                   end[y] - row[y], skew, &comparisons,
-                  [&](std::size_t p, std::size_t q) {
-                    // Triangle {x, y, w} still closed: both surviving edges
-                    // lose e's support, clamped at the current peel level.
-                    if (!alive[ye[q]]) return;
-                    if (support[xe[p]] > level) decrement(xe[p]);
-                    if (support[ye[q]] > level) decrement(ye[q]);
-                  });
+                  [&](std::size_t p, std::size_t q) { closed(xe[p], ye[q]); });
   }
   stats->peel_ms = watch.ElapsedMillis();
 

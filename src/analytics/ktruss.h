@@ -34,6 +34,11 @@ struct KTrussStats {
   double adjacency_ms = 0;  ///< Flat undirected CSR with edge ids.
   double support_ms = 0;    ///< Validate + CountEdgeSupport.
   double peel_ms = 0;       ///< Bucket queue + peel.
+  /// Hub rows (undirected degree >= 64) that the peel probes through a
+  /// rank bitmap, and the bytes those bitmaps, their prefix counts and the
+  /// hub rows' edge id copies take.
+  std::uint64_t hub_rows = 0;
+  std::uint64_t bitmap_bytes = 0;
 };
 
 /// Iterative support peeling with a bucket queue (the standard k-core-style

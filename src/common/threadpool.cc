@@ -1,18 +1,33 @@
 #include "common/threadpool.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace trinity {
+
+namespace {
+
+/// [0, n) as `shards` contiguous chunks whose sizes differ by at most one.
+std::vector<ThreadPool::Shard> EqualChunks(int n, int shards) {
+  std::vector<ThreadPool::Shard> plan;
+  plan.reserve(shards);
+  const int chunk = n / shards;
+  const int rem = n % shards;
+  for (int s = 0; s < shards; ++s) {
+    const int begin = s * chunk + std::min(s, rem);
+    plan.push_back({begin, begin + chunk + (s < rem ? 1 : 0)});
+  }
+  return plan;
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(num_threads > 0
                        ? num_threads
                        : std::max(1, static_cast<int>(
                                          std::thread::hardware_concurrency()))) {
-  if (num_threads_ == 1) return;
-  workers_.reserve(num_threads_);
-  for (int i = 0; i < num_threads_; ++i) {
+  workers_.reserve(num_threads_ - 1);
+  for (int i = 1; i < num_threads_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -26,39 +41,12 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
   if (n <= 0) return;
-  const int shards = std::min(n, num_threads());
-  std::vector<Shard> plan;
-  plan.reserve(shards);
-  // Contiguous chunks, one task per shard: shard s covers
-  // [s*chunk + min(s,rem), ...) so sizes differ by at most one.
-  const int chunk = n / shards;
-  const int rem = n % shards;
-  for (int s = 0; s < shards; ++s) {
-    const int begin = s * chunk + std::min(s, rem);
-    plan.push_back({begin, begin + chunk + (s < rem ? 1 : 0)});
-  }
-  ParallelForShards(plan, [&fn](int, int begin, int end) {
-    for (int i = begin; i < end; ++i) fn(i);
-  });
+  ParallelForShards(EqualChunks(n, std::min(n, 4 * num_threads())),
+                    [&fn](int, int begin, int end) {
+                      for (int i = begin; i < end; ++i) fn(i);
+                    });
 }
 
 std::vector<ThreadPool::Shard> ThreadPool::SplitWeighted(
@@ -72,17 +60,7 @@ std::vector<ThreadPool::Shard> ThreadPool::SplitWeighted(
     item_cost[i] = std::max(0.0, cost(i));
     total += item_cost[i];
   }
-  if (total <= 0.0) {
-    // Degenerate costs: equal-count chunks.
-    const int shards = std::min(n, max_shards);
-    const int chunk = n / shards;
-    const int rem = n % shards;
-    for (int s = 0; s < shards; ++s) {
-      const int begin = s * chunk + std::min(s, rem);
-      plan.push_back({begin, begin + chunk + (s < rem ? 1 : 0)});
-    }
-    return plan;
-  }
+  if (total <= 0.0) return EqualChunks(n, std::min(n, max_shards));
   // Walk the prefix sum, cutting a shard each time the running cost crosses
   // the next multiple of total/max_shards. Every shard therefore carries at
   // most ideal + one item of cost, and a single huge item gets a shard of
@@ -103,67 +81,72 @@ std::vector<ThreadPool::Shard> ThreadPool::SplitWeighted(
   return plan;
 }
 
+void ThreadPool::RunShards(Job* job) {
+  const int count = static_cast<int>(job->shards->size());
+  for (;;) {
+    const int s = job->next.fetch_add(1);
+    if (s >= count) return;
+    const Shard& shard = (*job->shards)[s];
+    (*job->fn)(s, shard.begin, shard.end);
+  }
+}
+
+void ThreadPool::Unlist(Job* job) {
+  if (!job->listed) return;
+  job->listed = false;
+  jobs_.erase(std::find(jobs_.begin(), jobs_.end(), job));
+}
+
 void ThreadPool::ParallelForShards(
     const std::vector<Shard>& shards,
     const std::function<void(int, int, int)>& fn) {
   if (shards.empty()) return;
-  if (shards.size() == 1 || num_threads() <= 1) {
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      fn(static_cast<int>(s), shards[s].begin, shards[s].end);
-    }
+  const int count = static_cast<int>(shards.size());
+  if (count == 1 || workers_.empty()) {
+    for (int s = 0; s < count; ++s) fn(s, shards[s].begin, shards[s].end);
     return;
   }
-  // All completion state lives on this stack frame, so the count must only
-  // be touched under done_mu: the waiter can then observe completion only
-  // after the finishing worker's last access, making it safe to return and
-  // pop the frame.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  const int want = static_cast<int>(shards.size());
-  int done = 0;
-  for (int s = 0; s < want; ++s) {
-    const int begin = shards[s].begin;
-    const int end = shards[s].end;
-    Submit([&, s, begin, end] {
-      fn(s, begin, end);
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (++done == want) done_cv.notify_all();
-    });
+  // The caller keeps shard 0 for itself, so it always runs at least one,
+  // and wakes only as many workers as there are other shards.
+  Job job{&shards, &fn};
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    jobs_.push_back(&job);
   }
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return done == want; });
+  const int wake = std::min(count - 1, static_cast<int>(workers_.size()));
+  for (int i = 0; i < wake; ++i) work_cv_.notify_one();
+  fn(0, shards[0].begin, shards[0].end);
+  RunShards(&job);
+  // Every shard is claimed. A worker joins a job only while it is listed,
+  // so after Unlist the helpers count can only fall; each helper finishes
+  // its claimed shard and leaves under mu_, which also publishes its writes.
+  std::unique_lock<std::mutex> lock(mu_);
+  Unlist(&job);
+  done_cv_.wait(lock, [&job] { return job.helpers == 0; });
 }
 
 void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn,
                              const std::function<double(int)>& cost) {
-  if (n <= 0) return;
-  if (num_threads() <= 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  const std::vector<Shard> plan = SplitWeighted(n, cost, num_threads() * 4);
-  ParallelForShards(plan, [&fn](int, int begin, int end) {
-    for (int i = begin; i < end; ++i) fn(i);
-  });
+  ParallelForShards(SplitWeighted(n, cost, 4 * num_threads()),
+                    [&fn](int, int begin, int end) {
+                      for (int i = begin; i < end; ++i) fn(i);
+                    });
 }
 
 void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (shutdown_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
+    work_cv_.wait(lock, [this] { return shutdown_ || !jobs_.empty(); });
+    if (jobs_.empty()) return;
+    Job* job = jobs_.front();
+    ++job->helpers;
+    lock.unlock();
+    RunShards(job);
+    lock.lock();
+    // Fully claimed: unlist it so no worker joins it again. The caller may
+    // pop the job's frame once it sees helpers == 0, so touch it no more.
+    Unlist(job);
+    if (--job->helpers == 0) done_cv_.notify_all();
   }
 }
 

@@ -1,8 +1,8 @@
 #ifndef TRINITY_COMMON_THREADPOOL_H_
 #define TRINITY_COMMON_THREADPOOL_H_
 
+#include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -10,37 +10,35 @@
 
 namespace trinity {
 
-/// Fixed-size worker pool. Trinity slaves run their message handlers and BSP
-/// partition jobs on a pool like this; WaitIdle() gives the bulk-synchronous
-/// barrier between supersteps.
+/// Fork-join worker pool: Trinity slaves run BSP partition jobs and
+/// analytics kernels on it, and each ParallelFor call is the barrier that
+/// ends a bulk-synchronous phase. A call publishes its shards as one job;
+/// the caller and every worker that joins claim the next unstarted shard
+/// from an atomic counter, so a worker that wakes late finds the work done
+/// instead of holding a chunk nobody else can take. The caller then waits
+/// only for the workers that joined. Concurrent calls from several threads
+/// are safe, and so is a nested call from fn on the same pool: the inner
+/// caller runs its own shards and never waits for an unstarted worker.
 class ThreadPool {
  public:
-  /// `num_threads` <= 0 means one worker per hardware thread (at least 1).
+  /// `num_threads` <= 0 means one per hardware thread (at least 1). The
+  /// caller of ParallelFor is one of the threads, so the pool starts
+  /// num_threads - 1 workers; a one-thread pool runs everything inline.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task. Never blocks, except that a one-thread pool starts no
-  /// OS thread and runs every task inline on the caller.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and all workers are idle.
-  void WaitIdle();
-
   int num_threads() const { return num_threads_; }
 
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion —
-  /// the call itself is the barrier. The range is split into at most
-  /// num_threads() contiguous chunks (one task each) so a worker touches a
-  /// run of adjacent indices instead of interleaving with its neighbors;
-  /// n <= 1 (and a single-thread pool) runs inline on the calling thread.
-  /// fn must not call ParallelFor on the same pool (a worker would block
-  /// waiting for tasks that only it could run).
+  /// Runs fn(i) for i in [0, n) across the pool and returns when every call
+  /// has: the call itself is the barrier. The range is cut into
+  /// min(n, 4 * num_threads()) equal-count shards of adjacent indices.
+  /// n <= 1 and a one-thread pool run inline on the calling thread.
   void ParallelFor(int n, const std::function<void(int)>& fn);
 
-  /// Contiguous index range [begin, end) dispatched as one task.
+  /// Contiguous index range [begin, end), claimed and run as one unit.
   struct Shard {
     int begin;
     int end;
@@ -57,31 +55,45 @@ class ThreadPool {
   static std::vector<Shard> SplitWeighted(
       int n, const std::function<double(int)>& cost, int max_shards);
 
-  /// Runs fn(shard_index, begin, end) for every shard and waits for
-  /// completion (one task per shard). Callers that need per-worker
-  /// accumulators index them by shard and merge after the call returns —
-  /// the analytics kernels dispatch this way. A single shard (or empty
-  /// vector) runs inline.
+  /// Runs fn(shard_index, begin, end) once for every shard and returns when
+  /// all have run. Shard indices do not depend on which thread ran a shard,
+  /// so callers that need per-worker accumulators index them by shard and
+  /// merge after the call returns — the analytics kernels dispatch this
+  /// way. A single shard (or empty vector) runs inline. fn must not throw
+  /// (errors travel as Status here): workers may still be inside the job.
   void ParallelForShards(const std::vector<Shard>& shards,
                          const std::function<void(int, int, int)>& fn);
 
   /// Cost-weighted ParallelFor: shards are balanced by caller-supplied
-  /// per-item cost instead of item count, with mild over-partitioning
-  /// (4x num_threads) so an imperfect cost model still spreads. Semantics
+  /// per-item cost instead of item count, with the same 4 * num_threads()
+  /// over-partitioning, so an imperfect cost model still spreads. Semantics
   /// otherwise match ParallelFor(n, fn).
   void ParallelFor(int n, const std::function<void(int)>& fn,
                    const std::function<double(int)>& cost);
 
  private:
+  /// One ParallelForShards call, on its caller's stack; listed in jobs_
+  /// until its last shard is claimed.
+  struct Job {
+    const std::vector<Shard>* shards;
+    const std::function<void(int, int, int)>* fn;
+    std::atomic<int> next{1};  ///< Next unclaimed shard; 0 is the caller's.
+    int helpers = 0;           ///< Workers inside RunShards; under mu_.
+    bool listed = true;        ///< Still in jobs_; under mu_.
+  };
+
+  /// Claims and runs shards until none is left.
+  static void RunShards(Job* job);
+  /// Drops a fully claimed job from jobs_ (once). Requires mu_.
+  void Unlist(Job* job);
   void WorkerLoop();
 
   std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
-  std::deque<std::function<void()>> queue_;
+  std::condition_variable work_cv_;  ///< A job was listed, or shutdown.
+  std::condition_variable done_cv_;  ///< Some job's helpers reached zero.
+  std::vector<Job*> jobs_;
   std::vector<std::thread> workers_;
   int num_threads_;
-  int active_ = 0;
   bool shutdown_ = false;
 };
 

@@ -52,6 +52,7 @@ BspEngine::BspEngine(graph::Graph* graph, Options options)
     state.num_vertices = state.vertices.size();
     state.inbox_begin.assign(state.num_vertices + 1, 0);
     state.outboxes.resize(num_slaves_);
+    state.trunks.resize(table_->num_slots());
     cloud->fabric().RegisterAsyncHandler(
         m, run_.handler, [this, m](MachineId, Slice payload) {
           ReceivePacked(m, payload);
@@ -221,18 +222,26 @@ Status BspEngine::RunSuperstep(const Program& program, int superstep,
   net::Fabric& fabric = graph_->cloud()->fabric();
   cloud::MemoryCloud* cloud = graph_->cloud();
   // Machine-level parallelism (§5.3): each simulated slave's vertex loop
-  // runs on a pool worker. A worker only touches its machine's state and
-  // outboxes, so the loop is lock-free; the ParallelFor join is the first
-  // half of the superstep barrier.
+  // is one shard, run by whichever pool thread claims it. A shard only
+  // touches its machine's state and outboxes, so the loop is lock-free;
+  // the ParallelFor join is the first half of the superstep barrier.
   pool_->ParallelFor(num_slaves_, [&](int mi) {
     const MachineId m = mi;
     MachineState& state = machines_[m];
     state.step_status = Status::OK();
     state.any_active = false;
     net::Fabric::MeterScope meter(fabric, m, &run_.meters);
-    // One storage resolution per machine per superstep; vertices then read
-    // trunk memory without the cloud membership mutex.
+    // Pin the machine's trunks once per superstep: a vertex then finds its
+    // trunk by id, taking neither the cloud membership mutex nor the
+    // storage mutex, and copying no shared_ptr. A machine that is down
+    // hosts nothing, so its reads fail below.
     const auto store = cloud->storage(m);
+    const auto pins = store != nullptr ? store->PinTrunks()
+                                       : decltype(store->PinTrunks()){};
+    std::fill(state.trunks.begin(), state.trunks.end(), nullptr);
+    for (const auto& [t, trunk] : pins) {
+      if (t >= 0 && t < table_->num_slots()) state.trunks[t] = trunk.get();
+    }
     for (std::size_t slot = 0; slot < state.num_vertices; ++slot) {
       const std::uint32_t lo = state.inbox_begin[slot];
       const std::uint32_t hi = state.inbox_begin[slot + 1];
@@ -253,7 +262,7 @@ Status BspEngine::RunSuperstep(const Program& program, int superstep,
       state.has_value[slot] = 1;
       ctx.aggregated_ = Slice(aggregated_);
       Status vs = graph_->VisitLocalNode(
-          store.get(), v,
+          state.trunks[cloud->TrunkOf(v)], v,
           [&](Slice data, const CellId* in, std::size_t in_count,
               const CellId* out, std::size_t out_count) {
             ctx.data_ = data;

@@ -31,9 +31,10 @@ Status CheckClusterHealthy(const cloud::AddressingTable& table,
 /// *restrictive* model), and may vote to halt. A halted vertex is reawakened
 /// by an incoming message.
 ///
-/// Execution is parallel at machine granularity (each simulated slave runs
-/// its vertex loop on a pool worker, like the paper's slaves running vertex
-/// programs on all cores); the superstep barrier is the ParallelFor join.
+/// Execution is parallel at machine granularity (each simulated slave's
+/// vertex loop is one shard of a fork-join ParallelFor, like the paper's
+/// slaves running vertex programs on all cores); the superstep barrier is
+/// the ParallelFor join.
 /// Vertex sends append to per-(src,dst) outbox buffers that reach the fabric
 /// as one packed payload per pair at the barrier (§4.2 message packing done
 /// explicitly), so fabric-mutex traffic is O(machines²) per superstep, not
@@ -183,7 +184,10 @@ class BspEngine {
   /// the vertex loop's order and with it send, arrival and fold order. An
   /// id with no vertex here that receives a message or a restored value
   /// gets a later slot: it keeps state and messages but never runs.
-  struct MachineState {
+  /// Cache-line aligned: the vertex loop writes the tail of machine i's
+  /// state (any_active, msg_scratch) while machine i+1's worker reads the
+  /// head of its own (vertices, num_vertices) once per vertex.
+  struct alignas(64) MachineState {
     std::vector<CellId> vertices;
     std::size_t num_vertices = 0;
     /// CellId -> slot, open addressing with linear probing, at most half
@@ -218,6 +222,11 @@ class BspEngine {
 
     /// Reused messages() view for the running vertex.
     std::vector<Slice> msg_scratch;
+
+    /// This machine's trunks by trunk id (null where not hosted), refilled
+    /// from one PinTrunks() at the start of each vertex loop and valid
+    /// only during it.
+    std::vector<const storage::MemoryTrunk*> trunks;
 
     /// Per-machine partial aggregate for the current superstep. In a real
     /// cluster each machine folds locally and ships one value to the

@@ -212,7 +212,11 @@ Status Graph::VisitLocalNode(MachineId machine, CellId id,
 Status Graph::VisitLocalNode(storage::MemoryStorage* store, CellId id,
                              const LocalVisitor& fn) const {
   if (store == nullptr) return Status::NotFound("not a slave");
-  auto trunk = store->trunk(cloud_->TrunkOf(id));
+  return VisitLocalNode(store->trunk(cloud_->TrunkOf(id)).get(), id, fn);
+}
+
+Status Graph::VisitLocalNode(const storage::MemoryTrunk* trunk, CellId id,
+                             const LocalVisitor& fn) const {
   if (trunk == nullptr) return Status::NotFound("node not local");
   storage::MemoryTrunk::ConstAccessor accessor;
   Status s = trunk->Access(id, &accessor);

@@ -113,6 +113,12 @@ class Graph {
   Status VisitLocalNode(storage::MemoryStorage* store, CellId id,
                         const LocalVisitor& fn) const;
 
+  /// Same, against the already-pinned trunk that holds `id` (the one at
+  /// `cloud()->TrunkOf(id)`; null means not local). The BSP engine pins a
+  /// machine's trunks once per superstep and visits every vertex this way.
+  Status VisitLocalNode(const storage::MemoryTrunk* trunk, CellId id,
+                        const LocalVisitor& fn) const;
+
   /// Node ids hosted on `machine` (scans its trunks).
   std::vector<CellId> LocalNodes(MachineId machine) const;
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -13,6 +14,7 @@
 #include "analytics/intersect.h"
 #include "analytics/ktruss.h"
 #include "analytics/triangles.h"
+#include "common/hash.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 
@@ -461,30 +463,22 @@ ReferenceTruss(const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
   for (const auto& e : edges) truss[e] = 2;
   for (std::uint32_t k = 3; !edges.empty(); ++k) {
     std::set<std::pair<std::uint32_t, std::uint32_t>> current = edges;
+    std::map<std::uint32_t, std::set<std::uint32_t>> adj;
+    for (const auto& [a, b] : current) {
+      adj[a].insert(b);
+      adj[b].insert(a);
+    }
     bool changed = true;
     while (changed) {
       changed = false;
       for (auto it = current.begin(); it != current.end();) {
+        // Support: the w adjacent to both endpoints among current edges.
+        const auto [a, b] = *it;
         std::uint32_t support = 0;
-        for (const auto& other : current) {
-          // Count w adjacent to both endpoints of *it.
-          const auto [a, b] = *it;
-          const auto [c, d] = other;
-          std::uint32_t w = 0;
-          bool adjacent = false;
-          if (c == a) {
-            w = d;
-            adjacent = true;
-          } else if (d == a) {
-            w = c;
-            adjacent = true;
-          }
-          if (adjacent && w != b &&
-              current.count({std::min(w, b), std::max(w, b)}) > 0) {
-            ++support;
-          }
-        }
+        for (const std::uint32_t w : adj[a]) support += adj[b].count(w);
         if (support < k - 2) {
+          adj[a].erase(b);
+          adj[b].erase(a);
           it = current.erase(it);
           changed = true;
         } else {
@@ -496,6 +490,36 @@ ReferenceTruss(const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
     edges = current;
   }
   return truss;
+}
+
+/// Decomposes `list` loaded on `machines` slaves and checks every edge's
+/// trussness against ReferenceTruss.
+void ExpectMatchesReference(const graph::Generators::EdgeList& list,
+                            int machines, KTrussStats* stats = nullptr) {
+  auto cloud = NewCloud(machines);
+  graph::Graph graph(cloud.get());
+  ASSERT_TRUE(graph::Generators::Load(&graph, list, false).ok());
+  GraphSnapshot snapshot;
+  ASSERT_TRUE(SnapshotBuilder::BuildGlobal(&graph, &snapshot).ok());
+  KTrussResult result;
+  ASSERT_TRUE(KTrussDecompose(snapshot, &result, stats).ok());
+
+  // Reference works on ranks so the edge keys line up.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  for (std::size_t e = 0; e < result.num_edges(); ++e) {
+    edges.push_back({result.src[e], result.dst[e]});
+  }
+  const auto reference = ReferenceTruss(edges);
+  ASSERT_EQ(reference.size(), result.num_edges());
+  for (std::size_t e = 0; e < result.num_edges(); ++e) {
+    const std::uint32_t a = result.src[e];
+    const std::uint32_t b = result.dst[e];
+    const auto key = std::make_pair(std::min(a, b), std::max(a, b));
+    EXPECT_EQ(result.trussness[e], reference.at(key))
+        << "edge " << a << "-" << b;
+    EXPECT_EQ(result.TrussnessOf(a, b), result.trussness[e]);
+    EXPECT_EQ(result.TrussnessOf(b, a), result.trussness[e]);
+  }
 }
 
 TEST(KTrussTest, KnownSmallGraphs) {
@@ -531,34 +555,49 @@ TEST(KTrussTest, MatchesBruteForceReference) {
         SCOPED_TRACE(::testing::Message()
                      << (powerlaw ? "powerlaw" : "rmat") << " machines="
                      << machines << " seed=" << seed);
-        auto cloud = NewCloud(machines);
-        graph::Graph graph(cloud.get());
-        const graph::Generators::EdgeList list =
+        ExpectMatchesReference(
             powerlaw ? graph::Generators::PowerLaw(40, 4.0, 2.0, seed)
-                     : graph::Generators::Rmat(40, 3.0, seed);
-        ASSERT_TRUE(graph::Generators::Load(&graph, list, false).ok());
-        GraphSnapshot snapshot;
-        ASSERT_TRUE(SnapshotBuilder::BuildGlobal(&graph, &snapshot).ok());
-        KTrussResult result;
-        ASSERT_TRUE(KTrussDecompose(snapshot, &result).ok());
-
-        // Reference works on ranks so the edge keys line up.
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-        for (std::size_t e = 0; e < result.num_edges(); ++e) {
-          edges.push_back({result.src[e], result.dst[e]});
-        }
-        const auto reference = ReferenceTruss(edges);
-        ASSERT_EQ(reference.size(), result.num_edges());
-        for (std::size_t e = 0; e < result.num_edges(); ++e) {
-          const std::uint32_t a = result.src[e];
-          const std::uint32_t b = result.dst[e];
-          const auto key = std::make_pair(std::min(a, b), std::max(a, b));
-          EXPECT_EQ(result.trussness[e], reference.at(key))
-              << "edge " << a << "-" << b;
-          EXPECT_EQ(result.TrussnessOf(a, b), result.trussness[e]);
-          EXPECT_EQ(result.TrussnessOf(b, a), result.trussness[e]);
-        }
+                     : graph::Generators::Rmat(40, 3.0, seed),
+            machines);
       }
+    }
+  }
+}
+
+TEST(KTrussTest, MatchesBruteForceReferenceOnHubRows) {
+  // Rows of degree >= 64 take the peel's bitmap path. Two adjacent hubs
+  // fan out over cliques of 3..8 leaves: hub 1 reaches every leaf, hub 2
+  // every other one, so edges between two hubs, hub and leaf, and two
+  // leaves all close triangles at several trussness levels.
+  graph::Generators::EdgeList fan;
+  fan.edges = {{1, 2}};
+  std::uint64_t leaf = 10;
+  for (int clique = 0; leaf < 110; ++clique) {
+    const std::uint64_t first = leaf;
+    const std::uint64_t size = 3 + clique % 6;
+    for (std::uint64_t a = first; a < first + size; ++a) {
+      fan.edges.push_back({1, a});
+      if (a % 2 == 0) fan.edges.push_back({a, 2});
+      for (std::uint64_t b = a + 1; b < first + size; ++b) {
+        fan.edges.push_back({a, b});
+      }
+    }
+    leaf += size;
+  }
+  fan.num_nodes = leaf;
+  // A few hundred vertices from each generator reach degree 64 too.
+  const std::vector<std::pair<const char*, graph::Generators::EdgeList>>
+      cases = {{"hub fan", fan},
+               {"rmat", graph::Generators::Rmat(400, 6.0, 4)},
+               {"powerlaw", graph::Generators::PowerLaw(400, 6.0, 2.0, 5)}};
+  for (const auto& [name, list] : cases) {
+    for (const int machines : {1, 8}) {
+      SCOPED_TRACE(::testing::Message() << name << " machines=" << machines);
+      KTrussStats stats;
+      ExpectMatchesReference(list, machines, &stats);
+      // A hub row has degree >= 64, so the bitmap path ran.
+      EXPECT_GT(stats.hub_rows, 0u);
+      EXPECT_GT(stats.bitmap_bytes, 0u);
     }
   }
 }
@@ -632,6 +671,42 @@ TEST(KTrussTest, RejectsPartialView) {
     }
   }
   EXPECT_TRUE(any_partial);
+}
+
+
+// perfbench's analytics graph: R-MAT(16,384, degree 8, seed 1) on 8 slaves
+// with p_bits 6, decomposed as the analytics job does. The triangle count,
+// maximum trussness and trussness digest were recorded on the peel that
+// galloped into every row; hub bitmaps must reproduce them exactly.
+TEST(KTrussGoldenTest, PerfbenchGraphMatchesRecordedTrussness) {
+  cloud::MemoryCloud::Options options;
+  options.num_slaves = 8;
+  options.p_bits = 6;
+  std::unique_ptr<cloud::MemoryCloud> cloud;
+  ASSERT_TRUE(cloud::MemoryCloud::Create(options, &cloud).ok());
+  graph::Graph graph(cloud.get());
+  ASSERT_TRUE(graph::Generators::Load(
+                  &graph, graph::Generators::Rmat(16384, 8.0, 1),
+                  /*with_names=*/false, 1)
+                  .ok());
+  GraphSnapshot snapshot;
+  ASSERT_TRUE(SnapshotBuilder::BuildGlobal(&graph, &snapshot).ok());
+  KTrussResult result;
+  ASSERT_TRUE(KTrussDecompose(snapshot, &result).ok());
+  // Digest over (smaller id, larger id, trussness) in id order, so it does
+  // not depend on how the snapshot ranks vertices.
+  std::vector<std::array<std::uint64_t, 3>> image;
+  for (std::size_t e = 0; e < result.num_edges(); ++e) {
+    const CellId a = snapshot.id_by_rank[result.src[e]];
+    const CellId b = snapshot.id_by_rank[result.dst[e]];
+    image.push_back({std::min(a, b), std::max(a, b), result.trussness[e]});
+  }
+  std::sort(image.begin(), image.end());
+  const std::uint64_t digest =
+      HashBytes(image.data(), image.size() * sizeof(image[0]));
+  EXPECT_EQ(result.triangles, 754778u);
+  EXPECT_EQ(result.max_trussness, 48u);
+  EXPECT_EQ(digest, 10895859510345043636ULL);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <thread>
 
@@ -220,16 +221,6 @@ TEST(SpinLockTest, TryLockReflectsState) {
   lock.Unlock();
 }
 
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&done] { done.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(done.load(), 100);
-}
-
 TEST(ThreadPoolTest, ZeroThreadsMeansOnePerHardwareThread) {
   const int hardware =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
@@ -268,19 +259,74 @@ TEST(ThreadPoolTest, ParallelForSingleItemRunsInline) {
   EXPECT_EQ(ran_on, caller);
 }
 
-TEST(ThreadPoolTest, NestedSubmitDuringWaitIdle) {
-  // A task submitted from inside a task must complete before WaitIdle
-  // returns — the barrier covers transitively spawned work.
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&] {
-      done.fetch_add(1);
-      pool.Submit([&] { done.fetch_add(1); });
+TEST(ThreadPoolTest, LateWorkerCannotStallAnIndex) {
+  // fn(0) blocks until the other 15 indices have run. If indices were dealt
+  // out in fixed chunks, index 0's chunk-mates would wait behind it forever;
+  // with claimed shards the other threads take them. Fails after 2 s rather
+  // than hanging.
+  ThreadPool pool(4);
+  std::atomic<int> others{0};
+  std::atomic<bool> timed_out{false};
+  pool.ParallelFor(16, [&](int i) {
+    if (i != 0) {
+      others.fetch_add(1);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (others.load() < 15) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out = true;
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  EXPECT_FALSE(timed_out.load());
+  EXPECT_EQ(others.load(), 15);
+}
+
+TEST(ThreadPoolTest, CallerRunsAtLeastOneIndex) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int n : {2, 3, 8, 100}) {
+    std::atomic<int> on_caller{0};
+    pool.ParallelFor(n, [&](int) {
+      if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
     });
+    EXPECT_GE(on_caller.load(), 1) << "n=" << n;
   }
-  pool.WaitIdle();
-  EXPECT_EQ(done.load(), 20);
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersEachRunEveryIndexOnce) {
+  ThreadPool pool(4);
+  constexpr int kN = 500;
+  constexpr int kRounds = 50;
+  std::vector<std::atomic<int>> hits_a(kN), hits_b(kN);
+  const auto caller = [&pool](std::vector<std::atomic<int>>* hits) {
+    for (int r = 0; r < kRounds; ++r) {
+      pool.ParallelFor(kN, [hits](int i) { (*hits)[i].fetch_add(1); });
+    }
+  };
+  std::thread a(caller, &hits_a);
+  std::thread b(caller, &hits_b);
+  a.join();
+  b.join();
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits_a[i].load(), kRounds) << i;
+    EXPECT_EQ(hits_b[i].load(), kRounds) << i;
+  }
+}
+
+TEST(ThreadPoolTest, NestedParallelForCompletes) {
+  // fn may call ParallelFor on its own pool: the inner caller runs its own
+  // shards, so it never waits for a worker busy in the outer loop.
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(8 * 16);
+  pool.ParallelFor(8, [&](int i) {
+    pool.ParallelFor(16, [&, i](int j) { hits[i * 16 + j].fetch_add(1); });
+  });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolTest, SplitWeightedBalancesSkewedCosts) {

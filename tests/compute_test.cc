@@ -664,6 +664,40 @@ TEST(BspEngineTest, RestoreFollowsVerticesMovedByFailover) {
   EXPECT_EQ(ImageDigest(expected), 9046038516723205881ULL);
 }
 
+// The vertex loop pins each machine's trunks once per superstep. A machine
+// that goes down before its loop starts pins nothing; its first vertex read
+// must fail as a clean Unavailable, not NotFound. One thread runs the
+// machines in id order, so machine 0's first vertex in superstep 1 fails
+// machine 2 before machine 2's loop pins.
+TEST(BspEngineTest, MachineDownBeforeItsLoopIsUnavailable) {
+  Fixture f = NewGraph(4);
+  ASSERT_TRUE(graph::Generators::Load(f.graph.get(),
+                                      graph::Generators::Rmat(256, 4.0, 3),
+                                      /*with_names=*/false)
+                  .ok());
+  ASSERT_FALSE(f.graph->LocalNodes(2).empty());
+  BspEngine::Options options;
+  options.num_threads = 1;
+  options.superstep_limit = 4;
+  BspEngine engine(f.graph.get(), options);
+  bool failed = false;
+  BspEngine::RunStats stats;
+  const Status s = engine.Run(
+      [&](BspEngine::VertexContext& ctx) {
+        if (ctx.superstep() == 1 && !failed &&
+            f.graph->MachineOfNode(ctx.vertex()) == 0) {
+          failed = true;
+          ASSERT_TRUE(f.cloud->FailMachine(2).ok());
+        }
+        ctx.SendToAllOut(Slice("x", 1));
+      },
+      &stats);
+  ASSERT_TRUE(failed);
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_NE(s.message().find("machine 2"), std::string::npos) << s.message();
+  EXPECT_EQ(stats.supersteps, 1);
+}
+
 // A run aborted by a crash strands messages in the engine; the next Run on
 // the same engine discards them. The program records every message it
 // receives, so a stale one would show in some value.
