@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,7 +23,9 @@ namespace trinity::bench {
 /// calls are no-ops, so call sites stay unconditional and the human tables
 /// keep printing either way. Rows are flat objects — wall-clock and modeled
 /// seconds, message/transfer/byte counters — one per table cell, tagged
-/// with a `section` so one file can carry several sweeps.
+/// with a `section` so one file can carry several sweeps. The file also
+/// records `nproc` and `build_type` (TRINITY_BUILD_TYPE, which
+/// bench/CMakeLists.txt sets from CMAKE_BUILD_TYPE).
 class JsonEmitter {
  public:
   JsonEmitter(const char* name, int argc, char* const* argv) : name_(name) {
@@ -73,7 +76,11 @@ class JsonEmitter {
     const std::string path = "BENCH_" + name_ + ".json";
     std::FILE* f = std::fopen(path.c_str(), "w");
     TRINITY_CHECK(f != nullptr, "cannot open bench json output");
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n", name_.c_str());
+    std::fprintf(f,
+                 "{\n  \"bench\": \"%s\",\n  \"nproc\": %u,\n"
+                 "  \"build_type\": \"%s\",\n  \"rows\": [\n",
+                 name_.c_str(), std::thread::hardware_concurrency(),
+                 TRINITY_BUILD_TYPE);
     for (std::size_t r = 0; r < rows_.size(); ++r) {
       std::fprintf(f, "    {");
       for (std::size_t i = 0; i < rows_[r].size(); ++i) {

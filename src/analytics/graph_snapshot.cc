@@ -134,8 +134,8 @@ class IdSet {
 /// internally consistent because the visit pins the cell.
 Status ScanMachine(graph::Graph* graph, cloud::MemoryCloud* cloud,
                    MachineId m, MachineCapture* out) {
-  const auto store = cloud->storage(m);
-  if (store == nullptr) return Status::OK();  // Dead slave: empty view.
+  const auto pin = cloud->trunks(m);
+  if (pin == nullptr) return Status::OK();  // Dead slave: empty view.
   const std::vector<CellId> ids = graph->LocalNodes(m);
   out->ids.reserve(ids.size());
   out->offsets.reserve(ids.size() + 1);
@@ -144,7 +144,7 @@ Status ScanMachine(graph::Graph* graph, cloud::MemoryCloud* cloud,
   for (CellId id : ids) {
     const std::size_t start = nbrs.size();
     Status s = graph->VisitLocalNode(
-        store.get(), id,
+        pin.get(), id,
         [&nbrs, &seen, id](Slice, const CellId* in, std::size_t in_count,
                            const CellId* vout, std::size_t out_count) {
           seen.Reset(in_count + out_count);

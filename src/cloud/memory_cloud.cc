@@ -179,6 +179,9 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
           if (!reader.GetI32(&trunk_id) || !reader.GetBytes(&image)) {
             return Status::Corruption("bad trunk image request");
           }
+          if (trunk_id < 0 || trunk_id >= TableOf(m)->num_slots()) {
+            return Status::Corruption("trunk image out of range");
+          }
           std::unique_ptr<storage::MemoryTrunk> trunk;
           Status s = storage::MemoryTrunk::Deserialize(
               image, options_.storage.trunk, &trunk);
@@ -224,7 +227,8 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
         }
         auto store = StorageOf(m);
         if (store == nullptr) return Status::Unavailable("not a slave");
-        auto replica = store->replica_trunk(trunk_id);
+        const auto pin = store->Pin();
+        storage::MemoryTrunk* replica = pin->replica_at(trunk_id).get();
         if (replica == nullptr) {
           return Status::Unavailable("no replica trunk hosted");
         }
@@ -243,7 +247,8 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
         }
         auto store = StorageOf(m);
         if (store == nullptr) return Status::Unavailable("not a slave");
-        auto replica = store->replica_trunk(trunk_id);
+        const auto pin = store->Pin();
+        storage::MemoryTrunk* replica = pin->replica_at(trunk_id).get();
         if (replica == nullptr) {
           return Status::Unavailable("no replica trunk hosted");
         }
@@ -303,6 +308,12 @@ std::shared_ptr<storage::MemoryStorage> MemoryCloud::storage(
   return StorageOf(m);
 }
 
+std::shared_ptr<const storage::MemoryStorage::Trunks> MemoryCloud::trunks(
+    MachineId m) const {
+  const auto store = storage(m);
+  return store == nullptr ? nullptr : store->Pin();
+}
+
 std::shared_ptr<const AddressingTable> MemoryCloud::table() const {
   std::lock_guard<std::mutex> lock(mu_);
   return PrimarySnapshotLocked();
@@ -318,11 +329,7 @@ std::shared_ptr<const AddressingTable> MemoryCloud::PrimarySnapshotLocked()
 }
 
 std::uint64_t MemoryCloud::MemoryFootprintBytes() const {
-  std::uint64_t total = 0;
-  ForEachAliveStorage([&](const storage::MemoryStorage& store) {
-    total += store.MemoryFootprintBytes();
-  });
-  return total;
+  return AggregateTrunkStats().committed_bytes;
 }
 
 std::uint64_t MemoryCloud::TotalCellCount() const {
@@ -345,7 +352,8 @@ Status MemoryCloud::ExecuteLocal(MachineId m, CellOp op, CellId id,
                                  Slice payload, std::string* response) {
   auto store = StorageOf(m);
   if (store == nullptr) return Status::Unavailable("not a slave");
-  auto trunk = store->trunk(TrunkOf(id));
+  const auto pin = store->Pin();
+  storage::MemoryTrunk* trunk = pin->primary_at(TrunkOf(id)).get();
   if (trunk == nullptr) {
     // The caller's addressing-table replica is stale.
     return Status::Unavailable("trunk not hosted");
@@ -419,12 +427,13 @@ Status MemoryCloud::ExecuteLocalMulti(MachineId m, Slice request,
   if (response == nullptr) return Status::InvalidArgument("no response");
   auto store = StorageOf(m);
   if (store == nullptr) return Status::Unavailable("not a slave");
+  const auto pin = store->Pin();
   for (std::uint32_t i = 0; i < count; ++i) {
     CellId id = 0;
     if (!reader.GetU64(&id)) {
       return Status::Corruption("bad multi-get request");
     }
-    auto trunk = store->trunk(TrunkOf(id));
+    const storage::MemoryTrunk* trunk = pin->primary_at(TrunkOf(id)).get();
     if (trunk == nullptr) {
       // The caller's table replica is stale for this id. Fail the whole
       // batch so the caller re-routes each id individually — partial

@@ -202,6 +202,12 @@ class MemoryCloud {
   /// partition-local scans; access is metered by the caller.
   std::shared_ptr<storage::MemoryStorage> storage(MachineId m) const;
 
+  /// storage(m)'s trunk snapshot, or null when storage(m) is. Engines,
+  /// scans and Graph pin one per operation, sweep or scan and resolve
+  /// every trunk from it.
+  std::shared_ptr<const storage::MemoryStorage::Trunks> trunks(
+      MachineId m) const;
+
   net::Fabric& fabric() { return *fabric_; }
   /// An immutable snapshot of the primary addressing table as of this call.
   /// Later membership changes never alter it; compute engines pin one at

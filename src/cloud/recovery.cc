@@ -100,7 +100,7 @@ Status MemoryCloud::ElectLeaderLocked() {
 MachineId MemoryCloud::LiveReplicaLocked(TrunkId t) const {
   for (MachineId r : primary_table_.replicas_of_trunk(t)) {
     auto store = storage(r);
-    if (store != nullptr && store->replica_trunk(t) != nullptr) return r;
+    if (store != nullptr && store->Pin()->replica_at(t) != nullptr) return r;
   }
   return kInvalidMachine;
 }
@@ -206,7 +206,7 @@ Status MemoryCloud::Recover(MachineId failed, bool depose) {
       }
     }
     if (!s.ok()) return s;
-    if (target_store->replica_trunk(t) != nullptr) {
+    if (target_store->Pin()->replica_at(t) != nullptr) {
       // A stale (not in-sync) replica image is superseded by the reload.
       target_store->DetachReplicaTrunk(t);
     }
@@ -242,7 +242,7 @@ Status MemoryCloud::Recover(MachineId failed, bool depose) {
     const MachineId owner = primary_table_.machine_of_trunk(t);
     auto owner_store = StorageOf(owner);
     if (owner_store == nullptr) continue;
-    auto trunk = owner_store->trunk(t);
+    auto trunk = owner_store->Pin()->primary_at(t);
     if (trunk == nullptr) continue;
     ApplyMirrored(*trunk, record.op, record.id, Slice(record.payload));
   }
@@ -394,7 +394,7 @@ int MemoryCloud::ReReplicate() {
       continue;  // A crash got here first; the next sweep retries.
     }
     auto store = StorageOf(job.primary);
-    auto source = store == nullptr ? nullptr : store->trunk(job.trunk);
+    auto source = store ? store->Pin()->primary_at(job.trunk) : nullptr;
     std::string image;
     if (source == nullptr || !source->Serialize(&image).ok()) continue;
     // Charge the serialization to the source machine's CPU meter.
@@ -502,7 +502,7 @@ Status MemoryCloud::MigrateTrunk(TrunkId trunk, MachineId to) {
     }
   }
   // 1. Serialize the trunk at the source (metered as its CPU work).
-  auto source = from_store->trunk(trunk);
+  auto source = from_store->Pin()->primary_at(trunk);
   if (source == nullptr) return Status::NotFound("trunk not hosted at source");
   std::string image;
   {
@@ -546,7 +546,7 @@ Status MemoryCloud::MigrateTrunk(TrunkId trunk, MachineId to) {
       // in its own trunk's in-sync set.
       auto to_store = StorageOf(to);
       if (to_store != nullptr &&
-          to_store->replica_trunk(trunk) != nullptr) {
+          to_store->Pin()->replica_at(trunk) != nullptr) {
         to_store->DetachReplicaTrunk(trunk);
       }
       primary_table_.RemoveReplica(trunk, to);

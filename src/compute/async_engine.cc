@@ -208,7 +208,7 @@ Status AsyncEngine::RunLoop(const Handler& handler, RunStats* stats) {
       state.sweep_status = Status::OK();
       state.sweep_updates = 0;
       net::Fabric::MeterScope meter(fabric, m, &run_.meters);
-      const auto store = graph_->cloud()->storage(m);
+      const auto pin = graph_->cloud()->trunks(m);
       CellId vertex = kInvalidCell;
       std::string delta;
       for (std::uint64_t i = 0; i < state.sweep_budget; ++i) {
@@ -219,7 +219,7 @@ Status AsyncEngine::RunLoop(const Handler& handler, RunStats* stats) {
         ctx.vertex_ = vertex;
         ctx.value_ = &state.values[vertex];
         Status vs = graph_->VisitLocalNode(
-            store.get(), vertex,
+            pin.get(), vertex,
             [&](Slice data, const CellId*, std::size_t, const CellId* out,
                 std::size_t out_count) {
               ctx.data_ = data;

@@ -52,7 +52,6 @@ BspEngine::BspEngine(graph::Graph* graph, Options options)
     state.num_vertices = state.vertices.size();
     state.inbox_begin.assign(state.num_vertices + 1, 0);
     state.outboxes.resize(num_slaves_);
-    state.trunks.resize(table_->num_slots());
     cloud->fabric().RegisterAsyncHandler(
         m, run_.handler, [this, m](MachineId, Slice payload) {
           ReceivePacked(m, payload);
@@ -232,16 +231,10 @@ Status BspEngine::RunSuperstep(const Program& program, int superstep,
     state.any_active = false;
     net::Fabric::MeterScope meter(fabric, m, &run_.meters);
     // Pin the machine's trunks once per superstep: a vertex then finds its
-    // trunk by id, taking neither the cloud membership mutex nor the
-    // storage mutex, and copying no shared_ptr. A machine that is down
-    // hosts nothing, so its reads fail below.
-    const auto store = cloud->storage(m);
-    const auto pins = store != nullptr ? store->PinTrunks()
-                                       : decltype(store->PinTrunks()){};
-    std::fill(state.trunks.begin(), state.trunks.end(), nullptr);
-    for (const auto& [t, trunk] : pins) {
-      if (t >= 0 && t < table_->num_slots()) state.trunks[t] = trunk.get();
-    }
+    // trunk by id in the snapshot, taking no lock and copying no
+    // shared_ptr. A machine that is down has no snapshot, so its reads
+    // fail below.
+    const auto pin = cloud->trunks(m);
     for (std::size_t slot = 0; slot < state.num_vertices; ++slot) {
       const std::uint32_t lo = state.inbox_begin[slot];
       const std::uint32_t hi = state.inbox_begin[slot + 1];
@@ -262,7 +255,7 @@ Status BspEngine::RunSuperstep(const Program& program, int superstep,
       state.has_value[slot] = 1;
       ctx.aggregated_ = Slice(aggregated_);
       Status vs = graph_->VisitLocalNode(
-          state.trunks[cloud->TrunkOf(v)], v,
+          pin.get(), v,
           [&](Slice data, const CellId* in, std::size_t in_count,
               const CellId* out, std::size_t out_count) {
             ctx.data_ = data;

@@ -223,11 +223,6 @@ class BspEngine {
     /// Reused messages() view for the running vertex.
     std::vector<Slice> msg_scratch;
 
-    /// This machine's trunks by trunk id (null where not hosted), refilled
-    /// from one PinTrunks() at the start of each vertex loop and valid
-    /// only during it.
-    std::vector<const storage::MemoryTrunk*> trunks;
-
     /// Per-machine partial aggregate for the current superstep. In a real
     /// cluster each machine folds locally and ships one value to the
     /// master at the barrier; the fold function is associative so the

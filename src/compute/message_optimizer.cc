@@ -24,13 +24,13 @@ Status MessageOptimizer::Analyze(graph::Graph* graph, MachineId machine,
   std::unordered_map<CellId, std::vector<std::uint32_t>> senders;
   std::uint64_t logical = 0;
   const bool directed = graph->options().directed;
-  // Resolve the machine's storage once; the per-vertex scan below then never
-  // touches the cloud membership mutex.
-  const auto store = graph->cloud()->storage(machine);
-  if (store == nullptr) return Status::NotFound("not a slave");
+  // Pin the machine's trunks once; the per-vertex scan below then takes no
+  // lock.
+  const auto pin = graph->cloud()->trunks(machine);
+  if (pin == nullptr) return Status::NotFound("not a slave");
   for (std::uint32_t idx = 0; idx < local.size(); ++idx) {
     Status s = graph->VisitLocalNode(
-        store.get(), local[idx],
+        pin.get(), local[idx],
         [&](Slice, const CellId* in, std::size_t in_count, const CellId* out,
             std::size_t out_count) {
           const CellId* from = directed ? in : out;

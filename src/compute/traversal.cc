@@ -95,7 +95,7 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
       MachineRound& round = rounds[m];
       round.status = Status::OK();
       net::Fabric::MeterScope meter(fabric, m, &run.meters);
-      const auto store = cloud->storage(m);
+      const auto pin = cloud->trunks(m);
       // Shared expansion body: runs the user visitor and buckets neighbors,
       // identical for locally-visited and batch-fetched vertices.
       const auto expand_node = [&](const FrontierEntry& entry, Slice data,
@@ -128,7 +128,7 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
         if (!round.visited.insert(entry.vertex).second) continue;
         ++round.visited_count;
         Status vs = graph_->VisitLocalNode(
-            store.get(), entry.vertex,
+            pin.get(), entry.vertex,
             [&](Slice data, const CellId*, std::size_t, const CellId* out,
                 std::size_t out_count) {
               expand_node(entry, data, out, out_count);

@@ -204,19 +204,14 @@ Status Graph::OutDegreeFrom(MachineId src, CellId id, std::size_t* out) {
 
 Status Graph::VisitLocalNode(MachineId machine, CellId id,
                              const LocalVisitor& fn) const {
-  const auto store = cloud_->storage(machine);
-  if (store == nullptr) return Status::NotFound("not a slave");
-  return VisitLocalNode(store.get(), id, fn);
+  return VisitLocalNode(cloud_->trunks(machine).get(), id, fn);
 }
 
-Status Graph::VisitLocalNode(storage::MemoryStorage* store, CellId id,
-                             const LocalVisitor& fn) const {
-  if (store == nullptr) return Status::NotFound("not a slave");
-  return VisitLocalNode(store->trunk(cloud_->TrunkOf(id)).get(), id, fn);
-}
-
-Status Graph::VisitLocalNode(const storage::MemoryTrunk* trunk, CellId id,
-                             const LocalVisitor& fn) const {
+Status Graph::VisitLocalNode(const storage::MemoryStorage::Trunks* trunks,
+                             CellId id, const LocalVisitor& fn) const {
+  if (trunks == nullptr) return Status::NotFound("not a slave");
+  const storage::MemoryTrunk* trunk =
+      trunks->primary_at(cloud_->TrunkOf(id)).get();
   if (trunk == nullptr) return Status::NotFound("node not local");
   storage::MemoryTrunk::ConstAccessor accessor;
   Status s = trunk->Access(id, &accessor);
@@ -250,12 +245,12 @@ Status Graph::VisitLocalNode(const storage::MemoryTrunk* trunk, CellId id,
 
 std::vector<CellId> Graph::LocalNodes(MachineId machine) const {
   std::vector<CellId> result;
-  const auto store = cloud_->storage(machine);
-  if (store == nullptr) return result;
-  for (const auto& [t, trunk] : store->PinTrunks()) {
-    std::vector<CellId> ids = trunk->CellIds();
+  const auto pin = cloud_->trunks(machine);
+  if (pin == nullptr) return result;
+  pin->ForEachPrimary([&](TrunkId, const storage::MemoryTrunk& trunk) {
+    std::vector<CellId> ids = trunk.CellIds();
     result.insert(result.end(), ids.begin(), ids.end());
-  }
+  });
   return result;
 }
 

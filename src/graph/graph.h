@@ -105,19 +105,12 @@ class Graph {
   Status VisitLocalNode(MachineId machine, CellId id,
                         const LocalVisitor& fn) const;
 
-  /// Same, against an already-resolved storage snapshot. Compute engines
-  /// resolve `cloud()->storage(m)` once per superstep, hold that pinned
-  /// pointer, and use this overload from worker threads so the per-vertex
-  /// hot path never touches the cloud membership mutex. Concurrent const access is safe: the trunk pins the
-  /// cell under its striped spinlock for the visit.
-  Status VisitLocalNode(storage::MemoryStorage* store, CellId id,
-                        const LocalVisitor& fn) const;
-
-  /// Same, against the already-pinned trunk that holds `id` (the one at
-  /// `cloud()->TrunkOf(id)`; null means not local). The BSP engine pins a
-  /// machine's trunks once per superstep and visits every vertex this way.
-  Status VisitLocalNode(const storage::MemoryTrunk* trunk, CellId id,
-                        const LocalVisitor& fn) const;
+  /// Same, against machine's already-pinned trunk snapshot
+  /// (`cloud()->trunks(m)`; null means not a member). Engines and scans pin
+  /// one per sweep or scan and visit every vertex this way; concurrent const
+  /// access is safe, as the trunk pins the cell for the visit.
+  Status VisitLocalNode(const storage::MemoryStorage::Trunks* trunks,
+                        CellId id, const LocalVisitor& fn) const;
 
   /// Node ids hosted on `machine` (scans its trunks).
   std::vector<CellId> LocalNodes(MachineId machine) const;

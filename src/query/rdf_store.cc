@@ -89,12 +89,12 @@ Status RdfStore::GetObjectsFrom(MachineId src, CellId subject,
 }
 
 Status RdfStore::ScanLocal(MachineId machine, const EntityVisitor& visit) {
-  const auto store = cloud_->storage(machine);
-  if (store == nullptr) return Status::NotFound("not a slave");
-  for (const auto& [t, trunk] : store->PinTrunks()) {
-    for (CellId id : trunk->CellIds()) {
+  const auto pin = cloud_->trunks(machine);
+  if (pin == nullptr) return Status::NotFound("not a slave");
+  pin->ForEachPrimary([&](TrunkId, const storage::MemoryTrunk& trunk) {
+    for (CellId id : trunk.CellIds()) {
       storage::MemoryTrunk::ConstAccessor accessor;
-      Status s = trunk->Access(id, &accessor);
+      Status s = trunk.Access(id, &accessor);
       if (!s.ok()) continue;
       const Slice blob = accessor.data();
       EntityType type;
@@ -110,7 +110,7 @@ Status RdfStore::ScanLocal(MachineId machine, const EntityVisitor& visit) {
               }
             });
     }
-  }
+  });
   return Status::OK();
 }
 

@@ -6,6 +6,17 @@
 
 namespace trinity::storage {
 
+namespace {
+
+/// The slot for `t` in a snapshot vector under edit, grown to fit.
+std::shared_ptr<MemoryTrunk>& SlotOf(
+    std::vector<std::shared_ptr<MemoryTrunk>>* v, TrunkId t) {
+  if (static_cast<std::size_t>(t) >= v->size()) v->resize(t + 1);
+  return (*v)[t];
+}
+
+}  // namespace
+
 Status MemoryStorage::AttachTrunk(TrunkId trunk_id) {
   std::unique_ptr<MemoryTrunk> trunk;
   Status s = MemoryTrunk::Create(options_.trunk, &trunk);
@@ -13,32 +24,34 @@ Status MemoryStorage::AttachTrunk(TrunkId trunk_id) {
   return AttachTrunk(trunk_id, std::move(trunk));
 }
 
+template <typename Edit>
+Status MemoryStorage::Update(Edit&& edit) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto next = std::make_shared<Trunks>(*Pin());
+  Status s = edit(next.get());
+  if (s.ok()) trunks_.store(std::move(next), std::memory_order_release);
+  return s;
+}
+
 Status MemoryStorage::AttachTrunk(TrunkId trunk_id,
                                   std::unique_ptr<MemoryTrunk> trunk) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (trunks_.count(trunk_id) != 0) {
-    return Status::AlreadyExists("trunk already hosted");
-  }
-  trunks_.emplace(trunk_id, std::move(trunk));
-  return Status::OK();
+  if (trunk_id < 0) return Status::InvalidArgument("negative trunk id");
+  return Update([&](Trunks* next) {
+    auto& slot = SlotOf(&next->primary, trunk_id);
+    if (slot != nullptr) return Status::AlreadyExists("trunk already hosted");
+    slot = std::move(trunk);
+    return Status::OK();
+  });
 }
 
 Status MemoryStorage::DetachTrunk(TrunkId trunk_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (trunks_.erase(trunk_id) == 0) return Status::NotFound("no such trunk");
-  return Status::OK();
-}
-
-std::shared_ptr<MemoryTrunk> MemoryStorage::trunk(TrunkId trunk_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = trunks_.find(trunk_id);
-  return it == trunks_.end() ? nullptr : it->second;
-}
-
-std::vector<std::pair<TrunkId, std::shared_ptr<MemoryTrunk>>>
-MemoryStorage::PinTrunks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {trunks_.begin(), trunks_.end()};
+  return Update([&](Trunks* next) {
+    if (next->primary_at(trunk_id) == nullptr) {
+      return Status::NotFound("no such trunk");
+    }
+    next->primary[trunk_id] = nullptr;
+    return Status::OK();
+  });
 }
 
 Status MemoryStorage::AttachReplicaTrunk(TrunkId trunk_id) {
@@ -50,103 +63,74 @@ Status MemoryStorage::AttachReplicaTrunk(TrunkId trunk_id) {
 
 Status MemoryStorage::AttachReplicaTrunk(TrunkId trunk_id,
                                          std::unique_ptr<MemoryTrunk> trunk) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (trunks_.count(trunk_id) != 0) {
-    return Status::AlreadyExists("machine is primary for this trunk");
-  }
-  replica_trunks_[trunk_id] = std::move(trunk);
-  return Status::OK();
-}
-
-std::shared_ptr<MemoryTrunk> MemoryStorage::replica_trunk(
-    TrunkId trunk_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = replica_trunks_.find(trunk_id);
-  return it == replica_trunks_.end() ? nullptr : it->second;
+  if (trunk_id < 0) return Status::InvalidArgument("negative trunk id");
+  return Update([&](Trunks* next) {
+    if (next->primary_at(trunk_id) != nullptr) {
+      return Status::AlreadyExists("machine is primary for this trunk");
+    }
+    SlotOf(&next->replica, trunk_id) = std::move(trunk);
+    return Status::OK();
+  });
 }
 
 Status MemoryStorage::DetachReplicaTrunk(TrunkId trunk_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (replica_trunks_.erase(trunk_id) == 0) {
-    return Status::NotFound("no such replica trunk");
-  }
-  return Status::OK();
+  return Update([&](Trunks* next) {
+    if (next->replica_at(trunk_id) == nullptr) {
+      return Status::NotFound("no such replica trunk");
+    }
+    next->replica[trunk_id] = nullptr;
+    return Status::OK();
+  });
 }
 
 Status MemoryStorage::PromoteReplicaTrunk(TrunkId trunk_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = replica_trunks_.find(trunk_id);
-  if (it == replica_trunks_.end()) {
-    return Status::NotFound("no replica to promote");
-  }
-  if (trunks_.count(trunk_id) != 0) {
-    return Status::AlreadyExists("already primary for this trunk");
-  }
-  trunks_.emplace(trunk_id, std::move(it->second));
-  replica_trunks_.erase(it);
-  return Status::OK();
-}
-
-std::vector<TrunkId> MemoryStorage::replica_trunk_ids() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TrunkId> ids;
-  ids.reserve(replica_trunks_.size());
-  for (const auto& [id, trunk] : replica_trunks_) {
-    (void)trunk;
-    ids.push_back(id);
-  }
-  return ids;
+  return Update([&](Trunks* next) {
+    if (next->replica_at(trunk_id) == nullptr) {
+      return Status::NotFound("no replica to promote");
+    }
+    auto& slot = SlotOf(&next->primary, trunk_id);
+    if (slot != nullptr) {
+      return Status::AlreadyExists("already primary for this trunk");
+    }
+    slot = std::move(next->replica[trunk_id]);
+    return Status::OK();
+  });
 }
 
 std::uint64_t MemoryStorage::ReplicaFootprintBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t total = 0;
-  for (const auto& [id, trunk] : replica_trunks_) {
-    (void)id;
-    total += trunk->stats().committed_bytes;
-  }
-  return total;
-}
-
-std::uint64_t MemoryStorage::MemoryFootprintBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t total = 0;
-  for (const auto& [id, trunk] : trunks_) {
-    (void)id;
-    total += trunk->stats().committed_bytes;
+  for (const auto& trunk : Pin()->replica) {
+    if (trunk != nullptr) total += trunk->stats().committed_bytes;
   }
   return total;
 }
 
 std::uint64_t MemoryStorage::TotalCellCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t total = 0;
-  for (const auto& [id, trunk] : trunks_) {
-    (void)id;
-    total += trunk->cell_count();
-  }
+  Pin()->ForEachPrimary(
+      [&](TrunkId, const MemoryTrunk& trunk) { total += trunk.cell_count(); });
   return total;
 }
 
 MemoryTrunk::Stats MemoryStorage::AggregateTrunkStats() const {
   MemoryTrunk::Stats total;
-  for (const auto& [id, trunk] : PinTrunks()) {
-    (void)id;
-    total += trunk->stats();
-  }
+  Pin()->ForEachPrimary(
+      [&](TrunkId, const MemoryTrunk& trunk) { total += trunk.stats(); });
   return total;
 }
 
 Status MemoryStorage::SaveToTfs(tfs::Tfs* tfs,
                                 const std::string& prefix) const {
-  for (const auto& [id, trunk] : PinTrunks()) {
+  Status status;
+  Pin()->ForEachPrimary([&](TrunkId id, const MemoryTrunk& trunk) {
     std::string image;
-    Status s = trunk->Serialize(&image);
-    if (!s.ok()) return s;
-    s = tfs->WriteFile(prefix + "/trunk_" + std::to_string(id), Slice(image));
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
+    if (status.ok()) status = trunk.Serialize(&image);
+    if (status.ok()) {
+      status = tfs->WriteFile(prefix + "/trunk_" + std::to_string(id),
+                              Slice(image));
+    }
+  });
+  return status;
 }
 
 Status MemoryStorage::LoadTrunkFromTfs(tfs::Tfs* tfs,
@@ -193,10 +177,9 @@ void MemoryStorage::StopDefragDaemon() {
 
 std::uint64_t MemoryStorage::DefragSweep() {
   std::uint64_t reclaimed = 0;
-  for (const auto& [id, trunk] : PinTrunks()) {
-    (void)id;
-    const MemoryTrunk::Stats stats = trunk->stats();
-    if (stats.used_bytes == 0) continue;
+  Pin()->ForEachPrimary([&](TrunkId, MemoryTrunk& trunk) {
+    const MemoryTrunk::Stats stats = trunk.stats();
+    if (stats.used_bytes == 0) return;
     const double wasted = static_cast<double>(stats.dead_bytes +
                                               stats.reserved_slack);
     // A trunk over its memory budget also defragments: the pass doubles as
@@ -206,9 +189,9 @@ std::uint64_t MemoryStorage::DefragSweep() {
     if (over_budget ||
         wasted / static_cast<double>(stats.used_bytes) >=
             options_.defrag_threshold) {
-      reclaimed += trunk->Defragment();
+      reclaimed += trunk.Defragment();
     }
-  }
+  });
   return reclaimed;
 }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -40,6 +39,50 @@ class MemoryStorage {
   MemoryStorage(const MemoryStorage&) = delete;
   MemoryStorage& operator=(const MemoryStorage&) = delete;
 
+  /// The trunks this machine hosts, by trunk id: an immutable snapshot that
+  /// every attach, detach and promotion replaces whole. Holding one pins
+  /// each trunk in it, so a concurrent DetachTrunk (migration) cannot free
+  /// a trunk under a reader, and readers never take this storage's lock.
+  /// Replica trunks (hot-standby copies of trunks whose primary lives on
+  /// another machine) sit in their own vector, so the primary path never
+  /// sees them; only the replication handlers and promotion reach them.
+  struct Trunks {
+    /// Indexed by trunk id, null where the trunk is not hosted.
+    std::vector<std::shared_ptr<MemoryTrunk>> primary;
+    std::vector<std::shared_ptr<MemoryTrunk>> replica;
+
+    /// The hosted trunk `t`, or a null pointer for any other id (negative
+    /// or past the end included). Hot paths take `.get()` under a named
+    /// pin; `auto t = pin->primary_at(x)` copies a pin of its own.
+    const std::shared_ptr<MemoryTrunk>& primary_at(TrunkId t) const {
+      return At(primary, t);
+    }
+    const std::shared_ptr<MemoryTrunk>& replica_at(TrunkId t) const {
+      return At(replica, t);
+    }
+
+    /// Calls fn(id, trunk) for every hosted primary in ascending id order.
+    template <typename Fn>
+    void ForEachPrimary(Fn&& fn) const {
+      for (std::size_t t = 0; t < primary.size(); ++t) {
+        if (primary[t] != nullptr) fn(static_cast<TrunkId>(t), *primary[t]);
+      }
+    }
+
+   private:
+    static const std::shared_ptr<MemoryTrunk>& At(
+        const std::vector<std::shared_ptr<MemoryTrunk>>& v, TrunkId t) {
+      static const std::shared_ptr<MemoryTrunk> kNone;
+      return t >= 0 && static_cast<std::size_t>(t) < v.size() ? v[t] : kNone;
+    }
+  };
+
+  /// The current snapshot (one atomic load). Hold it for the whole
+  /// operation, sweep or scan; it never changes under the holder.
+  std::shared_ptr<const Trunks> Pin() const {
+    return trunks_.load(std::memory_order_acquire);
+  }
+
   /// Creates an (empty) trunk owned by this machine. Fails with
   /// AlreadyExists when the trunk is already hosted here.
   Status AttachTrunk(TrunkId trunk_id);
@@ -51,24 +94,6 @@ class MemoryStorage {
   /// Drops a trunk (after it migrated to another machine).
   Status DetachTrunk(TrunkId trunk_id);
 
-  /// Trunk lookup; returns nullptr if the trunk is not hosted here. The
-  /// returned pointer pins the trunk: hold it for the whole operation, so
-  /// a concurrent DetachTrunk (migration) cannot free it underneath.
-  std::shared_ptr<MemoryTrunk> trunk(TrunkId trunk_id) const;
-
-  /// The hosted primary trunks in ascending id order, each pinned so a
-  /// concurrent DetachTrunk cannot free it during a pass that runs without
-  /// this storage's lock. The one way to list a machine's trunks.
-  std::vector<std::pair<TrunkId, std::shared_ptr<MemoryTrunk>>> PinTrunks()
-      const;
-
-  /// --- Hot-standby replica trunks -------------------------------------
-  /// Replica trunks are full in-memory copies of trunks whose primary lives
-  /// on another machine. They sit in a separate map so the primary lookup
-  /// path (`trunk()`) never sees them; routing only reaches them through
-  /// the replication handlers and, after promotion, through
-  /// PromoteReplicaTrunk.
-
   /// Creates an empty replica trunk. Unlike AttachTrunk this *replaces* any
   /// existing replica image — re-replication may refresh an out-of-sync
   /// copy.
@@ -78,26 +103,16 @@ class MemoryStorage {
   Status AttachReplicaTrunk(TrunkId trunk_id,
                             std::unique_ptr<MemoryTrunk> trunk);
 
-  /// Replica lookup; nullptr when this machine holds no replica of it.
-  /// Pins the replica like trunk() does.
-  std::shared_ptr<MemoryTrunk> replica_trunk(TrunkId trunk_id) const;
-
   /// Drops a replica (replication factor restored elsewhere, or the trunk
   /// migrated onto this machine).
   Status DetachReplicaTrunk(TrunkId trunk_id);
 
-  /// Failover: moves a replica trunk into the primary map. The metadata
+  /// Failover: moves a replica trunk into the primary vector. The metadata
   /// flip that makes promotion O(1) — no data copy, no TFS read.
   Status PromoteReplicaTrunk(TrunkId trunk_id);
 
-  std::vector<TrunkId> replica_trunk_ids() const;
-
   /// Committed bytes across replica trunks (replication memory overhead).
   std::uint64_t ReplicaFootprintBytes() const;
-
-  /// Sum of committed bytes across trunks plus index overhead — the memory
-  /// footprint number reported in the Fig 13 comparison.
-  std::uint64_t MemoryFootprintBytes() const;
 
   std::uint64_t TotalCellCount() const;
 
@@ -123,10 +138,15 @@ class MemoryStorage {
   std::uint64_t DefragSweep();
 
  private:
+  /// Under mu_: copies the snapshot, lets edit change the copy and, when
+  /// it returns OK, publishes the copy. Writers serialize on mu_.
+  template <typename Edit>
+  Status Update(Edit&& edit);
+
   const Options options_;
-  mutable std::mutex mu_;
-  std::map<TrunkId, std::shared_ptr<MemoryTrunk>> trunks_;
-  std::map<TrunkId, std::shared_ptr<MemoryTrunk>> replica_trunks_;
+  std::mutex mu_;
+  std::atomic<std::shared_ptr<const Trunks>> trunks_{
+      std::make_shared<const Trunks>()};
 
   std::thread defrag_thread_;
   std::mutex daemon_mu_;

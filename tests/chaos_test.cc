@@ -829,12 +829,14 @@ TEST_P(ReplicatedConcurrentReadChaosTest, ReadersSurviveFailoverRounds) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> wrong{0};
   std::atomic<std::uint64_t> ok_reads{0};
+  std::atomic<int> running{0};
   constexpr int kReaders = 4;
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       Random rng(seed * 0x9e3779b97f4a7c15ULL + 101 + t);
+      running.fetch_add(1, std::memory_order_release);
       while (!stop.load(std::memory_order_acquire)) {
         if (t == 0) {
           // Batched path: one MultiGet over a contiguous window of ids.
@@ -861,6 +863,12 @@ TEST_P(ReplicatedConcurrentReadChaosTest, ReadersSurviveFailoverRounds) {
         }
       }
     });
+  }
+
+  // The rounds take a few milliseconds; on a loaded host the readers may
+  // not be scheduled before they end, and then no read races a failover.
+  while (running.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
   }
 
   Random rng(seed * 0x2545f4914f6cdd1dULL + 17);
@@ -928,7 +936,7 @@ TEST(CrashImageChaosTest, InjectedCrashFreesStorageButNotPinnedReaders) {
   auto store = c.cloud->storage(victim);
   ASSERT_NE(store, nullptr);
   const std::weak_ptr<storage::MemoryStorage> image = store;
-  const auto trunk = store->trunk(c.cloud->TrunkOf(id));
+  const auto trunk = store->Pin()->primary_at(c.cloud->TrunkOf(id));
   ASSERT_NE(trunk, nullptr);
   storage::MemoryTrunk::ConstAccessor accessor;
   ASSERT_TRUE(trunk->Access(id, &accessor).ok());

@@ -15,6 +15,7 @@
 
 #include "cloud/memory_cloud.h"
 #include "common/hash.h"
+#include "graph/graph.h"
 #include "storage/memory_trunk.h"
 
 namespace trinity {
@@ -296,6 +297,76 @@ TEST(ConcurrentReadTest, ReadersRaceTrunkMigration) {
     EXPECT_TRUE(Consistent(ids[i], results[i].value.data(),
                            results[i].value.size()));
   }
+}
+
+// A sweep pins its machine's trunk snapshot once and visits every vertex
+// through it, while MigrateTrunk detaches a trunk under it. The pin keeps
+// the detached trunk alive: a visit finds the node whole (OK) or, on a pin
+// taken after the trunk left, not at all (NotFound).
+TEST(ConcurrentReadTest, ScansRaceTrunkMigration) {
+  cloud::MemoryCloud::Options options;
+  options.num_slaves = 4;
+  options.p_bits = 4;
+  options.storage.trunk.capacity = 256 * 1024;
+  std::unique_ptr<cloud::MemoryCloud> cloud;
+  ASSERT_TRUE(cloud::MemoryCloud::Create(options, &cloud).ok());
+  graph::Graph graph(cloud.get());
+
+  // A ring with chords: node v links to v+1 and v+2, so a visit can check
+  // every adjacency entry.
+  const CellId kNodes = 256;
+  for (CellId v = 0; v < kNodes; ++v) {
+    graph::NodeImage node;
+    node.id = v;
+    node.data = std::string(24, PatternFor(v));
+    node.out = {(v + 1) % kNodes, (v + 2) % kNodes};
+    node.in = {(v + kNodes - 2) % kNodes, (v + kNodes - 1) % kNodes};
+    ASSERT_TRUE(graph.BulkAddNode(cloud->client_id(), node).ok());
+  }
+  const TrunkId moving = cloud->TrunkOf(0);
+  const MachineId home = cloud->MachineOf(0);
+  const MachineId away = (home + 1) % options.num_slaves;
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> visits{0};
+  std::atomic<std::uint64_t> bad{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaderThreads; ++t) {
+    const MachineId m = t % 2 == 0 ? home : away;
+    readers.emplace_back([&, m] {
+      while (!done.load(std::memory_order_acquire)) {
+        const auto pin = cloud->trunks(m);
+        for (CellId v : graph.LocalNodes(m)) {
+          Status s = graph.VisitLocalNode(
+              pin.get(), v,
+              [&](Slice data, const CellId* in, std::size_t in_count,
+                  const CellId* out, std::size_t out_count) {
+                visits.fetch_add(1, std::memory_order_relaxed);
+                const bool whole =
+                    Consistent(v, data.data(), data.size()) &&
+                    data.size() == 24 && in_count == 2 && out_count == 2 &&
+                    in[0] == (v + kNodes - 2) % kNodes &&
+                    in[1] == (v + kNodes - 1) % kNodes &&
+                    out[0] == (v + 1) % kNodes && out[1] == (v + 2) % kNodes;
+                if (!whole) bad.fetch_add(1);
+              });
+          if (!s.ok() && !s.IsNotFound()) bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  // Migrate only once the sweeps are visiting, so they race every move.
+  for (int i = 0; i < 10000 && visits.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(visits.load(), 0u);
+  for (int round = 0; round < 200; ++round) {
+    ASSERT_TRUE(cloud->MigrateTrunk(moving, away).ok());
+    ASSERT_TRUE(cloud->MigrateTrunk(moving, home).ok());
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(bad.load(), 0u);
 }
 
 TEST(ConcurrentReadTest, SharedReadersRecordNoExclusiveContention) {

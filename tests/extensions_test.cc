@@ -453,7 +453,7 @@ TEST(TrunkParallelismTest, ConcurrentWritesToDistinctTrunks) {
   std::atomic<int> failures{0};
   for (int t = 0; t < kTrunks; ++t) {
     threads.emplace_back([&storage, &failures, t] {
-      auto trunk = storage.trunk(t);
+      auto trunk = storage.Pin()->primary_at(t);
       for (CellId id = 0; id < 2000; ++id) {
         if (!trunk->AddCell(id, Slice("concurrent")).ok()) {
           failures.fetch_add(1);
@@ -471,7 +471,7 @@ TEST(TrunkParallelismTest, ConcurrentMixedOpsOnOneTrunkStayCoherent) {
   options.trunk.capacity = 8 << 20;
   storage::MemoryStorage storage(options);
   ASSERT_TRUE(storage.AttachTrunk(0).ok());
-  auto trunk = storage.trunk(0);
+  auto trunk = storage.Pin()->primary_at(0);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([trunk, t] {

@@ -587,11 +587,48 @@ TEST(MemoryStorageTest, AttachDetachTrunks) {
   ASSERT_TRUE(storage.AttachTrunk(0).ok());
   ASSERT_TRUE(storage.AttachTrunk(1).ok());
   EXPECT_TRUE(storage.AttachTrunk(0).IsAlreadyExists());
-  EXPECT_NE(storage.trunk(0), nullptr);
-  EXPECT_EQ(storage.trunk(9), nullptr);
-  EXPECT_EQ(storage.PinTrunks().size(), 2u);
+  EXPECT_NE(storage.Pin()->primary_at(0), nullptr);
+  EXPECT_EQ(storage.Pin()->primary_at(9), nullptr);
+  std::size_t hosted = 0;
+  storage.Pin()->ForEachPrimary([&](TrunkId, MemoryTrunk&) { ++hosted; });
+  EXPECT_EQ(hosted, 2u);
   ASSERT_TRUE(storage.DetachTrunk(0).ok());
   EXPECT_TRUE(storage.DetachTrunk(0).IsNotFound());
+}
+
+// A pin is a snapshot: detach, promotion and attach publish new snapshots
+// and leave a held one, and the trunks in it, as they were.
+TEST(MemoryStorageTest, PinnedTrunksOutliveDetachAndPromotion) {
+  MemoryStorage::Options options;
+  options.trunk = SmallTrunk();
+  MemoryStorage storage(options);
+  ASSERT_TRUE(storage.AttachTrunk(0).ok());
+  ASSERT_TRUE(storage.AttachReplicaTrunk(1).ok());
+  ASSERT_TRUE(
+      storage.Pin()->primary_at(0)->AddCell(5, Slice("still here")).ok());
+
+  const auto old_pin = storage.Pin();
+  ASSERT_TRUE(storage.DetachTrunk(0).ok());
+  ASSERT_TRUE(storage.PromoteReplicaTrunk(1).ok());
+  ASSERT_TRUE(storage.AttachTrunk(40).ok());  // Past the vector's end.
+
+  std::string out;
+  ASSERT_NE(old_pin->primary_at(0), nullptr);
+  ASSERT_TRUE(old_pin->primary_at(0)->GetCell(5, &out).ok());
+  EXPECT_EQ(out, "still here");
+  EXPECT_EQ(old_pin->primary_at(1), nullptr);
+  EXPECT_NE(old_pin->replica_at(1), nullptr);
+  EXPECT_EQ(old_pin->primary_at(40), nullptr);
+
+  const auto pin = storage.Pin();
+  EXPECT_EQ(pin->primary_at(0), nullptr);
+  EXPECT_NE(pin->primary_at(1), nullptr);
+  EXPECT_EQ(pin->replica_at(1), nullptr);
+  EXPECT_NE(pin->primary_at(40), nullptr);
+  EXPECT_EQ(pin->primary_at(-1), nullptr);
+  EXPECT_EQ(pin->primary_at(1 << 20), nullptr);
+  EXPECT_EQ(pin->replica_at(-1), nullptr);
+  EXPECT_EQ(pin->replica_at(1 << 20), nullptr);
 }
 
 TEST(MemoryStorageTest, SaveAndLoadViaTfs) {
@@ -606,7 +643,8 @@ TEST(MemoryStorageTest, SaveAndLoadViaTfs) {
   options.trunk = SmallTrunk();
   MemoryStorage storage(options);
   ASSERT_TRUE(storage.AttachTrunk(3).ok());
-  ASSERT_TRUE(storage.trunk(3)->AddCell(7, Slice("persist me")).ok());
+  ASSERT_TRUE(
+      storage.Pin()->primary_at(3)->AddCell(7, Slice("persist me")).ok());
   ASSERT_TRUE(storage.SaveToTfs(tfs.get(), "m0").ok());
 
   std::unique_ptr<MemoryTrunk> restored;
@@ -624,7 +662,7 @@ TEST(MemoryStorageTest, DefragDaemonSweeps) {
   options.defrag_threshold = 0.01;
   MemoryStorage storage(options);
   ASSERT_TRUE(storage.AttachTrunk(0).ok());
-  auto trunk = storage.trunk(0);
+  auto trunk = storage.Pin()->primary_at(0);
   for (CellId id = 0; id < 100; ++id) {
     ASSERT_TRUE(trunk->AddCell(id, Slice(std::string(64, 'd'))).ok());
   }

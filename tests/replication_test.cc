@@ -14,6 +14,7 @@
 
 #include "cloud/memory_cloud.h"
 #include "cloud/replica_placement.h"
+#include "common/serializer.h"
 #include "net/fault_injector.h"
 #include "tfs/tfs.h"
 
@@ -182,7 +183,7 @@ TEST(ReplicationTest, EveryTrunkSeededWithDistinctReplicas) {
     EXPECT_EQ(holders.size(), 3u) << "trunk " << t;
     // Each replica machine actually hosts the replica trunk.
     for (MachineId r : replicas) {
-      EXPECT_NE(c.cloud->storage(r)->replica_trunk(t), nullptr);
+      EXPECT_NE(c.cloud->storage(r)->Pin()->replica_at(t), nullptr);
     }
   }
 }
@@ -196,7 +197,7 @@ TEST(ReplicationTest, WritesReachEveryInSyncReplica) {
   for (CellId id = 0; id < 64; ++id) {
     const TrunkId t = c.cloud->TrunkOf(id);
     for (MachineId r : table->replicas_of_trunk(t)) {
-      auto replica = c.cloud->storage(r)->replica_trunk(t);
+      auto replica = c.cloud->storage(r)->Pin()->replica_at(t);
       ASSERT_NE(replica, nullptr);
       std::string out;
       ASSERT_TRUE(replica->GetCell(id, &out).ok())
@@ -208,7 +209,7 @@ TEST(ReplicationTest, WritesReachEveryInSyncReplica) {
   ASSERT_TRUE(c.cloud->RemoveCell(7).ok());
   const TrunkId t7 = c.cloud->TrunkOf(7);
   for (MachineId r : table->replicas_of_trunk(t7)) {
-    EXPECT_FALSE(c.cloud->storage(r)->replica_trunk(t7)->Contains(7));
+    EXPECT_FALSE(c.cloud->storage(r)->Pin()->replica_at(t7)->Contains(7));
   }
   ASSERT_TRUE(c.cloud->AddCell(100, Slice("added")).ok());
   ASSERT_TRUE(c.cloud->AppendToCell(8, Slice("+tail")).ok());
@@ -218,7 +219,8 @@ TEST(ReplicationTest, WritesReachEveryInSyncReplica) {
     ASSERT_FALSE(table->replicas_of_trunk(t).empty());
     for (MachineId r : table->replicas_of_trunk(t)) {
       std::string out;
-      ASSERT_TRUE(c.cloud->storage(r)->replica_trunk(t)->GetCell(id, &out).ok())
+      ASSERT_TRUE(
+          c.cloud->storage(r)->Pin()->replica_at(t)->GetCell(id, &out).ok())
           << "cell " << id << " missing on replica machine " << r;
       EXPECT_EQ(out, want);
     }
@@ -480,7 +482,7 @@ TEST(ReplicationTest, ReReplicationRestoresTheFactor) {
     EXPECT_EQ(holders.size(), 3u) << "trunk " << t;
     EXPECT_EQ(holders.count(victim), 0u) << "trunk " << t;
     for (MachineId r : replicas) {
-      auto replica = c.cloud->storage(r)->replica_trunk(t);
+      auto replica = c.cloud->storage(r)->Pin()->replica_at(t);
       ASSERT_NE(replica, nullptr) << "trunk " << t << " on " << r;
     }
   }
@@ -495,7 +497,7 @@ TEST(ReplicationTest, ReReplicationRestoresTheFactor) {
   for (MachineId r : table->replicas_of_trunk(t1)) {
     std::string out;
     ASSERT_TRUE(
-        c.cloud->storage(r)->replica_trunk(t1)->GetCell(1, &out).ok());
+        c.cloud->storage(r)->Pin()->replica_at(t1)->GetCell(1, &out).ok());
     EXPECT_EQ(out, "post-repair");
   }
 }
@@ -541,6 +543,50 @@ TEST(ReplicationTest, ReplicaMemoryAccountedSeparately) {
   EXPECT_GE(c.cloud->ReplicaMemoryBytes(), c.cloud->MemoryFootprintBytes());
 }
 
+// The replica and image-install handlers index the trunk snapshot by a
+// trunk id read off the wire; an id outside [0, num_slots) must be refused,
+// never followed or grown into.
+TEST(ReplicationTest, ReplicaHandlersAnswerOutOfRangeTrunkIds) {
+  Cluster c = NewReplicatedCluster("wire", 1, /*with_tfs=*/false);
+  ASSERT_TRUE(c.cloud->PutCell(7, Slice("seven")).ok());
+  storage::MemoryTrunk::Options small;
+  small.capacity = 256 * 1024;
+  std::unique_ptr<storage::MemoryTrunk> empty;
+  ASSERT_TRUE(storage::MemoryTrunk::Create(small, &empty).ok());
+  std::string image;
+  ASSERT_TRUE(empty->Serialize(&image).ok());
+  for (const std::int32_t trunk : {-1, 1 << 20}) {
+    BinaryWriter apply;
+    apply.PutI32(trunk);
+    apply.PutU64(~0ull);
+    apply.PutU8(2);  // Put (MemoryCloud's private CellOp numbering).
+    apply.PutU64(7);
+    apply.PutBytes(Slice("x"));
+    BinaryWriter read;
+    read.PutI32(trunk);
+    read.PutU8(3);  // Get.
+    read.PutU64(7);
+    BinaryWriter install;
+    install.PutI32(trunk);
+    install.PutBytes(Slice(image));
+    for (const auto& [handler, request] :
+         {std::pair{cloud::kReplicaApplyHandler, &apply},
+          std::pair{cloud::kReplicaReadHandler, &read},
+          std::pair{cloud::kReplicaInstallHandler, &install},
+          std::pair{cloud::kTrunkMigrateHandler, &install}}) {
+      std::string response;
+      const Status s = c.cloud->fabric().Call(
+          0, 1, handler, Slice(request->buffer()), &response);
+      EXPECT_TRUE(s.IsUnavailable() || s.IsCorruption())
+          << "handler " << handler << " trunk " << trunk << ": "
+          << s.ToString();
+    }
+  }
+  std::string out;
+  ASSERT_TRUE(c.cloud->GetCell(7, &out).ok());
+  EXPECT_EQ(out, "seven");
+}
+
 TEST(ReplicationTest, MigrationMovesPrimaryOffReplicaHolder) {
   Cluster c = NewReplicatedCluster("migrate", 2, /*with_tfs=*/false);
   for (CellId id = 0; id < 32; ++id) {
@@ -556,7 +602,7 @@ TEST(ReplicationTest, MigrationMovesPrimaryOffReplicaHolder) {
   const auto& replicas = table->replicas_of_trunk(t);
   EXPECT_EQ(std::find(replicas.begin(), replicas.end(), dest),
             replicas.end());
-  EXPECT_EQ(c.cloud->storage(dest)->replica_trunk(t), nullptr);
+  EXPECT_EQ(c.cloud->storage(dest)->Pin()->replica_at(t), nullptr);
   CellId in_t = 0;
   while (c.cloud->TrunkOf(in_t) != t) ++in_t;
   ExpectFreshRoutes(c.cloud.get(), in_t);
